@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import use_executor
+
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -27,12 +29,11 @@ def pytest_addoption(parser):
         help="comma-separated replication seeds",
     )
     parser.addoption(
-        "--jobs",
+        "--executor",
         action="store",
-        type=int,
-        default=1,
-        help="parallel simulation processes for the figure grids "
-             "(tables are identical at any parallelism)",
+        default="serial",
+        help="executor spec for the figure grids, e.g. 'pool:4' "
+             "(tables are identical on every backend)",
     )
 
 
@@ -47,9 +48,12 @@ def seeds(request):
     return tuple(int(s) for s in raw.split(","))
 
 
-@pytest.fixture(scope="session")
-def jobs(request) -> int:
-    return request.config.getoption("--jobs")
+@pytest.fixture(scope="session", autouse=True)
+def executor(request):
+    """Run every bench under the ``--executor`` spec, installed ambiently
+    the way the CLI flag installs it."""
+    with use_executor(request.config.getoption("--executor")) as live:
+        yield live
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -1,8 +1,8 @@
 """The canonical per-run measurement record: :class:`RunResult`.
 
 Every simulation — whether launched through :func:`repro.api.Scenario.run`,
-a :class:`repro.api.Campaign`, or the legacy
-:func:`repro.experiments.run_scenario` shim — distils into one
+a :class:`repro.api.Campaign`, or :func:`repro.api.simulate` directly —
+distils into one
 :class:`RunResult`.  The record is a plain dataclass so it pickles across
 process-pool workers and round-trips through JSON for the
 :class:`repro.api.ResultStore`.

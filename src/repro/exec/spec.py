@@ -1,12 +1,9 @@
-"""``ExecutorSpec``: one value that names *how* a campaign executes.
+"""``ExecutorSpec``: the one value that names *how* a campaign executes.
 
-Before this existed, execution policy was scattered across three
-spellings — ``jobs=N`` picked serial vs process-pool,
-``SupervisorConfig``/``use_supervisor`` switched on fault tolerance, and
-the CLI grew a flag per knob.  An :class:`ExecutorSpec` collapses all of
-it into one declarative record that travels everywhere a campaign does:
-``Campaign.run(executor=...)``, ``run_scenarios(executor=...)``, the CLI
-``--executor`` flag, and the campaign server's JSON specs.
+An :class:`ExecutorSpec` is the only execution knob: it travels
+everywhere a campaign does — ``Campaign.run(executor=...)``,
+``run_scenarios(executor=...)``, ``RunCache.execute(executor=...)``, the
+CLI ``--executor`` flag, and the campaign server's JSON specs.
 
 The four kinds::
 
@@ -24,11 +21,6 @@ Each has a compact string form for the CLI and JSON specs —
 ``"distributed:bind=127.0.0.1:8400,local=2"`` — parsed by
 :meth:`ExecutorSpec.parse`.
 
-The legacy spellings keep working: :meth:`ExecutorSpec.from_legacy` maps
-``(jobs, supervise)`` onto the equivalent spec, and the old keyword
-arguments remain accepted (and equivalence-tested) everywhere they were
-before.
-
 :func:`use_executor` installs a spec (or a live executor) ambiently —
 the same ContextVar pattern as ``use_run_cache`` — so the CLI's
 ``--executor`` flag reaches every registered experiment without
@@ -40,6 +32,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import dataclasses
+import math
+import random
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -70,9 +64,17 @@ _PARSE_ALIASES = {
     "local_workers": "local_workers",
 }
 
-_FLOAT_FIELDS = ("cell_timeout_s", "lease_timeout_s")
+_FLOAT_FIELDS = (
+    "cell_timeout_s", "lease_timeout_s", "backoff_base_s", "backoff_cap_s"
+)
 _INT_FIELDS = ("jobs", "retries", "seed", "local_workers")
 _BOOL_FIELDS = ("allow_partial",)
+#: Fields that may be ``None`` (the kind's default / no watchdog).
+_OPTIONAL_FIELDS = ("cell_timeout_s", "retries")
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
 
 
 @dataclass(frozen=True)
@@ -120,16 +122,42 @@ class ExecutorSpec:
                 f"unknown executor kind {self.kind!r}; "
                 f"know {', '.join(EXECUTOR_KINDS)}"
             )
+        self._check_types()
         if self.jobs < 1:
             raise ExperimentError("executor jobs must be >= 1")
         if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
             raise ExperimentError("cell_timeout_s must be > 0 (or None)")
         if self.retries is not None and self.retries < 0:
             raise ExperimentError("retries must be >= 0")
+        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
+            raise ExperimentError("backoff delays must be >= 0")
         if self.lease_timeout_s <= 0:
             raise ExperimentError("lease_timeout_s must be > 0")
         if self.local_workers < 0:
             raise ExperimentError("local_workers must be >= 0")
+        self.bind_address()  # raises on a malformed host:port
+
+    def _check_types(self) -> None:
+        """Reject wrongly typed or non-finite fields (JSON specs carry
+        strings, floats and bools wherever a client puts them)."""
+        for name in _INT_FIELDS + _FLOAT_FIELDS + _BOOL_FIELDS + ("bind",):
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_FIELDS:
+                continue
+            if name in _BOOL_FIELDS:
+                ok = isinstance(value, bool)
+            elif name == "bind":
+                ok = isinstance(value, str)
+            elif isinstance(value, bool):
+                ok = False
+            elif name in _INT_FIELDS:
+                ok = isinstance(value, int)
+            else:
+                ok = isinstance(value, (int, float)) and math.isfinite(value)
+            if not ok:
+                raise ExperimentError(
+                    f"bad value {value!r} for executor option {name!r}"
+                )
 
     # -- derived views ---------------------------------------------------------
 
@@ -138,22 +166,20 @@ class ExecutorSpec:
         """Total attempts per cell (first try + retries)."""
         return (2 if self.retries is None else self.retries) + 1
 
-    def supervisor(self):
-        """The :class:`SupervisorConfig` equivalent (supervised kind)."""
-        from .supervised import SupervisorConfig
+    def backoff_delay(self, index: int, attempt: int) -> float:
+        """The deterministic retry delay after ``attempt`` failed.
 
-        return SupervisorConfig(
-            cell_timeout_s=self.cell_timeout_s,
-            max_attempts=self.max_attempts,
-            backoff_base_s=self.backoff_base_s,
-            backoff_cap_s=self.backoff_cap_s,
-            seed=self.seed,
-            allow_partial=self.allow_partial,
+        Capped exponential with jitter in [50%, 100%] of the nominal
+        delay; a pure function of ``(seed, index, attempt)`` so recovery
+        schedules replay identically in tests.
+        """
+        nominal = min(
+            self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1))
         )
-
-    def with_(self, **changes: Any) -> "ExecutorSpec":
-        """A copy with fields replaced (validation re-runs)."""
-        return dataclasses.replace(self, **changes)
+        rng = random.Random(
+            self.seed * 1_000_003 + index * 10_007 + attempt
+        )
+        return nominal * (0.5 + rng.random() / 2)
 
     def bind_address(self) -> Tuple[str, int]:
         host, _, port = self.bind.rpartition(":")
@@ -231,32 +257,6 @@ class ExecutorSpec:
             )
         return cls(**data)
 
-    @classmethod
-    def from_legacy(
-        cls, jobs: int = 1, supervise=None
-    ) -> "ExecutorSpec":
-        """Map the pre-spec ``(jobs, supervise)`` spelling onto a spec.
-
-        This is the deprecation shim behind ``Campaign.run(jobs=...,
-        supervise=...)`` and ``run_scenarios(jobs=..., supervise=...)``:
-        exactly the executor those arguments always selected, now as a
-        value.
-        """
-        if supervise is not None:
-            return cls(
-                kind="supervised",
-                jobs=max(1, jobs),
-                cell_timeout_s=supervise.cell_timeout_s,
-                retries=supervise.max_attempts - 1,
-                backoff_base_s=supervise.backoff_base_s,
-                backoff_cap_s=supervise.backoff_cap_s,
-                seed=supervise.seed,
-                allow_partial=supervise.allow_partial,
-            )
-        if jobs > 1:
-            return cls(kind="pool", jobs=jobs)
-        return cls(kind="serial")
-
     # -- serialisation ---------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -292,8 +292,8 @@ def _coerce(field: str, value: str) -> Any:
         if field in _FLOAT_FIELDS:
             return float(value)
         if field in _BOOL_FIELDS:
-            return value.lower() in ("1", "true", "yes", "on")
-    except ValueError:
+            return _BOOL_WORDS[value.lower()]
+    except (KeyError, ValueError):
         raise ExperimentError(
             f"bad value {value!r} for executor option {field!r}"
         ) from None

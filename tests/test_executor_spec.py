@@ -1,22 +1,14 @@
-"""ExecutorSpec: one value that names how a campaign executes.
+"""ExecutorSpec: the one value that names how a campaign executes.
 
-The spec collapses the legacy ``jobs=``/``supervise=`` spellings into a
-single declarative record.  These tests pin the parse grammar, the
-legacy mapping, the resolution precedence, and — the contract that
-matters — that every spelling of the same policy produces bit-identical
+These tests pin the parse grammar, the field validation, the resolution
+precedence (argument > ambient ``use_executor`` > serial), and — the
+contract that matters — that every backend produces bit-identical
 results.
 """
 
 import pytest
 
-from repro.api import (
-    Campaign,
-    ExecutorSpec,
-    Scenario,
-    SupervisorConfig,
-    use_executor,
-    use_supervisor,
-)
+from repro.api import Campaign, ExecutorSpec, Scenario, use_executor
 from repro.api.campaign import resolve_executor
 from repro.config import Protocol
 from repro.errors import ExperimentError
@@ -88,7 +80,9 @@ class TestParse:
         with pytest.raises(ExperimentError, match="lease_timeout_s"):
             ExecutorSpec(kind="distributed", lease_timeout_s=0.0)
         with pytest.raises(ExperimentError, match="bad distributed bind"):
-            ExecutorSpec(kind="distributed", bind="nonsense").bind_address()
+            ExecutorSpec(kind="distributed", bind="nonsense")
+        with pytest.raises(ExperimentError, match="backoff"):
+            ExecutorSpec(kind="supervised", backoff_base_s=-1.0)
 
     def test_normalize_accepts_every_spelling(self):
         spec = ExecutorSpec(kind="pool", jobs=3)
@@ -109,17 +103,52 @@ class TestParse:
         assert ExecutorSpec.from_dict(data) == spec
         assert ExecutorSpec().to_dict() == {"kind": "serial"}
 
-    def test_from_legacy(self):
-        assert ExecutorSpec.from_legacy() == ExecutorSpec(kind="serial")
-        assert ExecutorSpec.from_legacy(jobs=4) == ExecutorSpec(
-            kind="pool", jobs=4
+    @pytest.mark.parametrize("text, field", [
+        ("supervised:timeout=nan", "cell_timeout_s"),
+        ("supervised:timeout=inf", "cell_timeout_s"),
+        ("supervised:timeout=-inf", "cell_timeout_s"),
+        ("distributed:lease=nan", "lease_timeout_s"),
+        ("distributed:lease=inf", "lease_timeout_s"),
+        ("pool:partial=maybe", "allow_partial"),
+        ("pool:jobs=2.5", "jobs"),
+    ])
+    def test_bad_parsed_values_rejected(self, text, field):
+        with pytest.raises(ExperimentError, match=f"bad value .*'{field}'"):
+            ExecutorSpec.parse(text)
+
+    @pytest.mark.parametrize("text, partial", [
+        ("supervised:partial=true", True),
+        ("supervised:partial=1", True),
+        ("supervised:partial=False", False),
+        ("supervised:partial=0", False),
+    ])
+    def test_bool_spellings(self, text, partial):
+        assert ExecutorSpec.parse(text).allow_partial is partial
+
+    @pytest.mark.parametrize("data, field", [
+        ({"kind": "pool", "jobs": "4"}, "jobs"),
+        ({"kind": "pool", "jobs": 2.5}, "jobs"),
+        ({"kind": "pool", "jobs": True}, "jobs"),
+        ({"kind": "supervised", "retries": "1"}, "retries"),
+        ({"kind": "supervised", "cell_timeout_s": "soon"}, "cell_timeout_s"),
+        ({"kind": "supervised", "cell_timeout_s": float("nan")},
+         "cell_timeout_s"),
+        ({"kind": "supervised", "backoff_base_s": float("inf")},
+         "backoff_base_s"),
+        ({"kind": "supervised", "backoff_cap_s": float("nan")},
+         "backoff_cap_s"),
+        ({"kind": "supervised", "allow_partial": "yes"}, "allow_partial"),
+        ({"kind": "distributed", "bind": 8400}, "bind"),
+    ])
+    def test_json_field_types_checked(self, data, field):
+        with pytest.raises(ExperimentError, match=f"bad value .*'{field}'"):
+            ExecutorSpec.from_dict(data)
+
+    def test_integral_floats_accepted(self):
+        spec = ExecutorSpec.from_dict(
+            {"kind": "supervised", "cell_timeout_s": 30, "backoff_cap_s": 1}
         )
-        sup = SupervisorConfig(cell_timeout_s=10.0, max_attempts=2, seed=3)
-        spec = ExecutorSpec.from_legacy(jobs=2, supervise=sup)
-        assert spec.kind == "supervised"
-        assert spec.supervisor() == sup.__class__(
-            cell_timeout_s=10.0, max_attempts=2, seed=3
-        )
+        assert (spec.cell_timeout_s, spec.backoff_cap_s) == (30, 1)
 
     def test_describe_is_compact(self):
         assert ExecutorSpec.parse("pool:4").describe() == "pool jobs=4"
@@ -129,36 +158,25 @@ class TestParse:
 
 
 class TestResolvePrecedence:
-    def test_jobs_fallback(self):
-        assert resolve_executor(1).kind == "serial"
-        assert resolve_executor(4) == ExecutorSpec(kind="pool", jobs=4)
+    def test_serial_fallback(self):
+        assert resolve_executor() == ExecutorSpec(kind="serial")
+        with use_executor(None):
+            assert resolve_executor() == ExecutorSpec(kind="serial")
 
     def test_explicit_executor_wins(self):
-        with use_supervisor(SupervisorConfig()):
-            resolved = resolve_executor(4, None, "serial")
+        with use_executor("pool:4"):
+            resolved = resolve_executor("serial")
         assert resolved == ExecutorSpec(kind="serial")
 
     def test_live_instance_passes_through(self):
         live = SerialExecutor()
-        assert resolve_executor(4, None, live) is live
+        with use_executor("pool:2"):
+            assert resolve_executor(live) is live
 
-    def test_explicit_supervise_beats_ambient_executor(self):
-        sup = SupervisorConfig(max_attempts=5)
-        with use_executor("pool:4"):
-            resolved = resolve_executor(1, sup, None)
-        assert resolved.kind == "supervised"
-        assert resolved.max_attempts == 5
-
-    def test_ambient_executor_beats_jobs(self):
+    def test_ambient_executor_beats_default(self):
         with use_executor("pool:3") as live:
             assert isinstance(live, PoolExecutor)
-            assert resolve_executor(8) is live
-
-    def test_ambient_supervisor_still_honoured(self):
-        with use_supervisor(SupervisorConfig(max_attempts=4)):
-            resolved = resolve_executor(2)
-        assert resolved.kind == "supervised"
-        assert (resolved.jobs, resolved.max_attempts) == (2, 4)
+            assert resolve_executor() is live
 
     def test_get_executor_instantiates_each_kind(self):
         assert isinstance(get_executor(ExecutorSpec()), SerialExecutor)
@@ -170,31 +188,34 @@ class TestResolvePrecedence:
 
 
 class TestEquivalence:
-    """Every spelling of the same policy → bit-identical results."""
+    """Every backend → bit-identical results."""
 
-    def test_pool_spec_matches_legacy_jobs(self):
+    def test_pool_spec_matches_serial(self):
         camp = _campaign()
-        legacy = camp.run(jobs=2)
+        serial = camp.run()
         spec = camp.run(executor="pool:2")
-        assert _norm(spec.runs) == _norm(legacy.runs)
+        assert _norm(spec.runs) == _norm(serial.runs)
 
-    def test_supervised_spec_matches_legacy_supervise(self):
+    def test_supervised_spec_matches_serial(self):
         camp = _campaign()
-        sup = SupervisorConfig(max_attempts=2)
-        legacy = camp.run(supervise=sup)
+        serial = camp.run(executor=ExecutorSpec())
         spec = camp.run(executor="supervised:retries=1")
-        assert _norm(spec.runs) == _norm(legacy.runs)
+        assert _norm(spec.runs) == _norm(serial.runs)
 
     def test_ambient_executor_reaches_campaign(self):
         camp = _campaign()
         serial = camp.run()
         with use_executor("pool:2"):
-            ambient = camp.run(jobs=1)
+            ambient = camp.run()
         assert _norm(ambient.runs) == _norm(serial.runs)
 
-    def test_executor_conflicts_with_legacy_arguments(self):
-        camp = _campaign()
-        with pytest.raises(ExperimentError, match="not both"):
-            camp.run(jobs=2, executor="serial")
-        with pytest.raises(ExperimentError, match="not both"):
-            camp.run(supervise=SupervisorConfig(), executor="serial")
+    def test_execution_takes_one_parameter(self):
+        import inspect
+
+        from repro.api import run_scenarios
+        from repro.service import RunCache
+
+        for fn in (run_scenarios, Campaign.run, RunCache.execute):
+            params = set(inspect.signature(fn).parameters)
+            assert "executor" in params
+            assert not params & {"jobs", "supervise"}

@@ -2,7 +2,7 @@
 
 The tentpole guarantee: SIGKILL a sweep mid-flight, re-run it with
 ``--resume``, and (a) no completed cell is re-simulated, (b) the final
-render is byte-identical to an uninterrupted run, at any ``--jobs``.
+render is byte-identical to an uninterrupted run, under any ``--executor``.
 """
 
 import json
@@ -181,7 +181,7 @@ def _rows(db_path):
 class TestKillAndResumeGate:
     """The PR's acceptance gate, as a test: SIGKILL mid-sweep, resume,
     assert zero re-simulation of completed cells + byte-identical
-    render at a different --jobs."""
+    render under a different executor."""
 
     ARGS = [
         "run", "fig8", "--preset", "smoke",
@@ -231,8 +231,8 @@ class TestKillAndResumeGate:
             resumed.stderr,
         )
 
-        # Byte-identical to an uninterrupted run — at a different --jobs.
-        clean = _run_cli([*self.ARGS, "--jobs", "2"], tmp_path)
+        # Byte-identical to an uninterrupted run — on a different executor.
+        clean = _run_cli([*self.ARGS, "--executor", "pool:2"], tmp_path)
         assert clean.returncode == 0, clean.stderr
         assert resumed.stdout == clean.stdout
 
@@ -256,7 +256,7 @@ class TestChaosCampaign:
 
     def test_campaign_survives_injected_crashes(self, tmp_path):
         args = ["run", "fig8", "--preset", "smoke", "--seeds", "1", "2",
-                "--retries", "6"]
+                "--executor", "supervised:retries=6"]
         env = dict(os.environ, PYTHONPATH=REPO_SRC)
         env["REPRO_FAULTS"] = json.dumps(
             {"seed": 11, "worker_crash_rate": 0.4}

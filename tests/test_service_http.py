@@ -152,6 +152,23 @@ class TestEndpoints:
             _get_json(server, "/runs?where=nonsense")
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("executor, field", [
+        ({"kind": "pool", "jobs": "4"}, "jobs"),
+        ({"kind": "pool", "jobs": 2.5}, "jobs"),
+        ({"kind": "pool", "jobs": True}, "jobs"),
+        ("supervised:timeout=nan", "cell_timeout_s"),
+        ("supervised:partial=maybe", "allow_partial"),
+        ("distributed:bind=nohostport", "bind"),
+    ])
+    def test_malformed_executor_is_400(self, server, executor, field):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post_json(server, "/campaigns",
+                       {**GRID_SPEC, "executor": executor})
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert field in error
+        assert _get_json(server, "/campaigns")["jobs"] == []
+
 
 class TestJobManager:
     def test_bad_specs_fail_at_submit(self, tmp_path):
@@ -172,7 +189,7 @@ class TestJobManager:
         recorded, and the worker thread survives to run the next job."""
         from repro.api import registry
 
-        def boom(preset="smoke", seeds=(1,), jobs=1):
+        def boom(preset="smoke", seeds=(1,)):
             raise RuntimeError("reactor scram")
 
         monkeypatch.setitem(
