@@ -17,6 +17,10 @@ a ladder of network sizes and records the scaling curve:
 * one trajectory entry (tier ``"scale"``) is appended to
   ``benchmarks/BENCH_run.json``, the same file the kernel bench feeds,
   so the nightly cache carries the curve forward;
+* each row carries a deterministic work counter next to its wall time:
+  kernel events for the event backend, and node-steps (nodes x
+  coherence steps) for the vector backend, whose ``events_processed``
+  is its step count — so the rate column reads kev/s or Mnode-steps/s;
 * committed baselines close the loop: event rows compare against
   ``benchmarks/BENCH_scale.json`` (the pre-PR-5 brute-force kernel) and
   vector rows compare against ``benchmarks/BENCH_vector.json`` (the
@@ -72,6 +76,7 @@ def _measure_single(n_nodes: int, rounds: int, brute: bool,
         )
     best = float("inf")
     events = 0
+    node_steps = None
     if backend == "vector":
         from repro.api import RunOptions, simulate
 
@@ -87,7 +92,8 @@ def _measure_single(n_nodes: int, rounds: int, brute: bool,
             t0 = time.perf_counter()
             result = simulate(cfg, opts)
             elapsed = time.perf_counter() - t0
-            events = result.events_processed
+            events = result.events_processed  # the vector step count
+            node_steps = n_nodes * events
             if elapsed < best:
                 best = elapsed
     else:
@@ -106,10 +112,21 @@ def _measure_single(n_nodes: int, rounds: int, brute: bool,
         "seconds": best,
         "rounds": rounds,
         "events": events,
+        "node_steps": node_steps,
         "backend": backend,
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "brute": brute,
     }
+
+
+def _work(r: dict) -> str:
+    """The row's work counter and its rate: kernel events (kev/s) for
+    the event backend, node-steps (Mnode-steps/s) for the vector one."""
+    if r.get("node_steps") is not None:
+        n = r["node_steps"]
+        return f"{n:>11} n-st {n / r['seconds'] / 1e6:>9.2f} Mn-st/s"
+    n = r["events"]
+    return f"{n:>11} ev   {n / r['seconds'] / 1e3:>9.1f} kev/s  "
 
 
 def _vm_hwm_kb(pid: int) -> int:
@@ -247,8 +264,8 @@ def main(argv=None) -> int:
     brute_results = []
     print(f"scale benchmark: horizon {HORIZON_S:g} s, "
           f"best-of-{args.rounds}, serial (1-CPU container)")
-    header = (f"{'backend':>7} {'nodes':>6} {'wall':>9} {'events':>9} "
-              f"{'kev/s':>7} {'rss MB':>7} {'baseline':>9} {'speedup':>8}")
+    header = (f"{'backend':>7} {'nodes':>6} {'wall':>9} {'work':>16} "
+              f"{'rate':>17} {'rss MB':>7} {'baseline':>9} {'speedup':>8}")
     print(header)
     for n in args.nodes:
         for backend in backends:
@@ -261,17 +278,13 @@ def main(argv=None) -> int:
             base = baselines[backend].get(n)
             base_s = f"{base['seconds']:.3f}s" if base else "—"
             speed = f"{base['seconds'] / r['seconds']:.2f}x" if base else "—"
-            print(f"{backend:>7} {n:>6} {r['seconds']:>8.3f}s "
-                  f"{r['events']:>9} "
-                  f"{r['events'] / r['seconds'] / 1e3:>7.1f} "
+            print(f"{backend:>7} {n:>6} {r['seconds']:>8.3f}s {_work(r)} "
                   f"{r['peak_rss_kb'] / 1024:>7.1f} {base_s:>9} {speed:>8}")
         if args.with_brute:
             b = _measure_subprocess(n, args.rounds, brute=True,
                                     backend="event")
             brute_results.append(b)
-            print(f"{'event':>7} {n:>6} {b['seconds']:>8.3f}s "
-                  f"{b['events']:>9} "
-                  f"{b['events'] / b['seconds'] / 1e3:>7.1f} "
+            print(f"{'event':>7} {n:>6} {b['seconds']:>8.3f}s {_work(b)} "
                   f"{b['peak_rss_kb'] / 1024:>7.1f} "
                   f"{'(brute/no-pool)':>18}")
 

@@ -30,12 +30,14 @@ statistically equivalent to the event kernel, not bit-identical:
 * traffic is drawn as per-step batch counts (Poisson / CBR accumulator /
   two-state on-off), with arrivals stamped mid-step;
 * per cluster and step, contenders race once per sub-iteration with the
-  event MAC's backoff law (``u · 2^retry · slot · CW``); collisions are
-  resolved by an exact fine-structure pass — a sorted-interval overlap
-  count inside the radio's 20 µs startup blind window — so episodes are
-  k-way, exactly one sensor (the winner, mid-transmission when the
-  collision tone fires) counts a heard collision, and the later
-  colliders hold the channel for their full corrupted-burst airtime;
+  event MAC's backoff law (``u · 2^retry · slot · CW``), resolved as
+  segment reductions over a cluster-major member layout fixed for the
+  LEACH round; collisions are resolved by an exact fine-structure pass —
+  every contender whose backoff lands inside the winner's 20 µs radio
+  startup blind window keys up — so episodes are k-way, exactly one
+  sensor (the winner, mid-transmission when the collision tone fires)
+  counts a heard collision, and the later colliders hold the channel for
+  their full corrupted-burst airtime;
 * burst size, per-mode airtime, per-packet PER Bernoulli draws, and the
   energy charges per attempt reproduce the event MAC's arithmetic on
   arrays;
@@ -134,6 +136,21 @@ def _nearest_heads_kd(
             pick[rows] = full
             dmin[rows] = row_f[np.arange(rows.size), full]
     return pick.astype(np.int64), dmin
+
+
+def _run_heads(keys: np.ndarray) -> np.ndarray:
+    """Flags the first element of each run of equal values in ``keys``."""
+    heads = np.empty(keys.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    return heads
+
+
+def _filled(size: int, value: float) -> np.ndarray:
+    """``np.full(size, value)`` without its Python-level overhead."""
+    out = np.empty(size)
+    out.fill(value)
+    return out
 
 
 def _check_supported(cfg: NetworkConfig) -> None:
@@ -281,13 +298,16 @@ class VectorNetwork:
         self.is_head = np.zeros(n, dtype=bool)
         self.retry = np.zeros(n, dtype=np.int64)
 
-        # Ring-buffer queues: births, sources, start offsets, lengths.
+        # Ring-buffer queues: births, sources, start offsets (always
+        # reduced modulo B), lengths, and the head-of-line packet's birth
+        # (meaningful while the queue is non-empty).
         B = cfg.traffic.buffer_packets
         self.B = B
         self.qbirth = np.zeros((n, B))
         self.qsrc = np.zeros((n, B), dtype=np.int32)
         self.qstart = np.zeros(n, dtype=np.int64)
         self.qlen = np.zeros(n, dtype=np.int64)
+        self.qhead = np.zeros(n)
 
         # Traffic state.
         self._cbr_acc = np.zeros(n)
@@ -327,6 +347,9 @@ class VectorNetwork:
         self.thr = np.asarray(
             [self.abicm.threshold_for_class(k) for k in range(n_modes)]
         )
+        # Mode selection edges: the highest mode whose threshold an SNR
+        # meets, floored at mode 0, is its rank among thr[1:].
+        self._mode_edges = self.thr[1:]
         self.rates = np.asarray([m.throughput_bps for m in self.abicm.modes])
         self.pertab = PerTables(self.abicm, cfg.phy.packet_length_bits)
         self.bits = cfg.phy.packet_length_bits
@@ -342,6 +365,10 @@ class VectorNetwork:
         # waits half an idle period for the next pulse on average, plus
         # the sensing delay before it may classify the train.
         self._idle_entry_s = 0.5 * cfg.tone.idle_period_s + cfg.tone.sensing_delay_s
+        # Per-attempt sender charges: radio startup, and the CSI classify
+        # listen on the tone radio before the backoff.
+        self._e_startup = self.model.startup_energy_j
+        self._e_listen = self.model.power_w("tone_rx") * cfg.tone.sensing_delay_s
         tone = cfg.tone
         self._head_tone_duty = (
             tone.idle_duration_s / tone.idle_period_s
@@ -368,6 +395,8 @@ class VectorNetwork:
         self.busy = np.empty(0)
         self.m_ids = np.empty(0, dtype=np.int64)
         self.m_cl = np.empty(0, dtype=np.int64)
+        self.m_order = np.empty(0, dtype=np.int64)
+        self._qual = np.empty(0, dtype=bool)
         self.m_mean = np.empty(0)
         self.m_sh = np.empty(0)
         self.m_fx = np.empty(0)
@@ -415,6 +444,7 @@ class VectorNetwork:
             np.zeros(n, dtype=np.int64) if cfg.dynamics.enabled else None
         )
         self._charges: List[Tuple[str, np.ndarray, np.ndarray]] = []
+        self._bursts: List[Tuple[np.ndarray, ...]] = []
 
         # Series recorder: one shared cadence, decimated together (the
         # event kernel's collectors decimate independently but
@@ -681,6 +711,10 @@ class VectorNetwork:
                 pick = np.argmin(row, axis=1)
                 self.m_cl[lo:hi] = pick
                 d[lo:hi] = row[np.arange(hi - lo), pick]
+        # Cluster-major member layout for the MAC race: member rows
+        # grouped by cluster, ascending within each, so per-cluster race
+        # reductions run over contiguous segments.
+        self.m_order = np.argsort(self.m_cl, kind="stable")
         self.m_mean = self.budget.mean_snr_db(d) + self._regime_offset
         z = self._chan_rng.standard_normal((3, m))
         sigma = self.cfg.channel.shadowing_sigma_db
@@ -707,6 +741,8 @@ class VectorNetwork:
                             continue
                         slot = (self.qstart[hd] + self.qlen[hd]) % self.B
                         self.qbirth[hd, slot] = birth
+                        if self.qlen[hd] == 0:
+                            self.qhead[hd] = birth
                         self.qsrc[hd, slot] = src
                         self.qlen[hd] += 1
                 else:
@@ -719,6 +755,7 @@ class VectorNetwork:
         self._cluster_of_head = {}
         self.m_ids = np.empty(0, dtype=np.int64)
         self.m_cl = np.empty(0, dtype=np.int64)
+        self.m_order = np.empty(0, dtype=np.int64)
 
     def _relay_offer(
         self, c: int, births: np.ndarray, hops: np.ndarray, srcs: np.ndarray
@@ -759,7 +796,7 @@ class VectorNetwork:
             if self.cfg.protocol is Protocol.CAEM_ADAPTIVE:
                 self._policy_step(acc)
             if self.heads.size:
-                self._mac_step(t0, t1)
+                self._mac_step(t0, t1, up)
                 if self.cfg.routing.enabled:
                     self._uplink_step(t0, t1)
             self._energy_settle(t0, sdt, up)
@@ -775,7 +812,7 @@ class VectorNetwork:
             self._policy_step(acc)
             w = prof.lap("policy", w)
         if self.heads.size:
-            self._mac_step(t0, t1)
+            self._mac_step(t0, t1, up)
             w = prof.lap("mac", w)
             if self.cfg.routing.enabled:
                 self._uplink_step(t0, t1)
@@ -893,7 +930,10 @@ class VectorNetwork:
         src_ids = np.arange(n, dtype=np.int32)
         for j in range(kmax):
             sel = np.flatnonzero(acc > j)
-            slots = (self.qstart[sel] + self.qlen[sel] + j) % self.B
+            q = self.qlen[sel]
+            if j == 0:  # an empty queue's new head-of-line packet
+                self.qhead[sel[q == 0]] = birth
+            slots = (self.qstart[sel] + q + j) % self.B
             self.qbirth[sel, slots] = birth
             self.qsrc[sel, slots] = src_ids[sel]
         self.qlen += acc
@@ -939,39 +979,61 @@ class VectorNetwork:
 
     # -- cluster MAC ---------------------------------------------------------
 
-    def _mac_step(self, t0: float, t1: float) -> None:
+    def _qualifies(self, nodes: np.ndarray, t: float) -> np.ndarray:
+        """Whether each node's queue qualifies for channel access at ``t``.
+
+        It does with a full minimum burst, or with a backlog whose oldest
+        packet has waited ``min_burst_wait_s``.
+        """
+        mac = self.cfg.mac
+        q = self.qlen[nodes]
+        return (q >= mac.min_burst_packets) | (
+            (q > 0) & (t - self.qhead[nodes] >= mac.min_burst_wait_s)
+        )
+
+    def _mac_step(self, t0: float, t1: float, up: np.ndarray) -> None:
         m = self.m_ids.size
         if m == 0:
             return
         snr = self._member_snr()
-        mac = self.cfg.mac
-        h = self.heads.size
-        head_of = self.heads
         ids = self.m_ids
-        # Step-invariant eligibility, hoisted out of the race loop:
-        # deaths and head outages land at the dynamics/energy barriers
-        # and class updates in the policy phase, so within one step only
-        # queue state and the cluster busy clocks move.  The working set
-        # also only shrinks (busy clocks are monotone within a step), so
-        # each sub-iteration re-evaluates the queues of a dwindling
-        # candidate list instead of the whole population.
-        base = self.attached[ids] & self.up[ids] & self.head_up[self.m_cl]
+        busy = self.busy
+        # The ready set is evaluated once per step.  Deaths and head
+        # outages land at the dynamics/energy barriers, class updates in
+        # the policy phase, and no packet arrives during the MAC phase,
+        # so within a step only two things move: queues shrink (a clean
+        # winner pops a burst, a retry-exhausted collider sheds one) and
+        # cluster busy clocks advance.  Both only ever disqualify a
+        # member (popping leaves fewer and younger packets; ``qstart``
+        # only advances), so readiness is monotone within the step: a
+        # row leaves the set for good when its cluster's clock passes
+        # ``t1``, or when its queue stops qualifying after it transmitted
+        # or collided, and no other row is ever re-evaluated.  ``_qual``
+        # carries every member's final qualification to the energy
+        # phase's monitor charge.
+        qual = self._qualifies(ids, t1)
+        self._qual = qual
+        ready = qual & self.attached[ids] & up[ids]
+        ready &= self.head_up[self.m_cl] & (busy[self.m_cl] < t1)
         if self.gated:
-            base &= snr >= self.thr[self.cls[ids]]
-        rows = np.flatnonzero(base)
+            ready &= snr >= self.thr[self.cls[ids]]
+        # The set is laid out in the round's cluster-major order: ``rset``
+        # holds its member rows and ``rcl`` their clusters, one contiguous
+        # segment per cluster with rows ascending inside it, and ``live``
+        # marks the rows still in it.  ``at`` maps a member row to its
+        # position in ``rset``; ``to_cm`` lists the live positions in
+        # member order.  RNG draws are taken in member order and
+        # scattered through ``to_cm``, so every draw lands on the same
+        # row as in a member-order scan.
+        rset = self.m_order[ready[self.m_order]]
+        rcl = self.m_cl[rset]
+        live = np.ones(rset.size, dtype=bool)
+        at = np.empty(m, dtype=np.int64)
+        at[rset] = np.arange(rset.size)
+        to_cm = at[ready.nonzero()[0]]
         for _ in range(_MAC_SUB_ITERS):
-            if rows.size:
-                rows = rows[self.busy[self.m_cl[rows]] < t1]
-            if rows.size == 0:
-                break
-            nodes = ids[rows]
-            q = self.qlen[nodes]
-            oldest = self.qbirth[nodes, self.qstart[nodes] % self.B]
-            ready = (q >= mac.min_burst_packets) | (
-                (q > 0) & (t1 - oldest >= mac.min_burst_wait_s)
-            )
-            ridx = rows[ready]
-            if ridx.size == 0:
+            to_cm = to_cm[live[to_cm]]
+            if to_cm.size == 0:
                 break
             # Pulse-eligibility flicker: a ready sensor only joins the
             # race if it has accumulated the 8 ms sensing delay by the
@@ -980,270 +1042,268 @@ class VectorNetwork:
             # per-race collision probability matches the event kernel
             # (without it every ready member races every sub-iteration
             # and episodes over-count ~1.4x).
-            join = self._mac_rng.random(ridx.size) < _MAC_JOIN_P
-            cidx = ridx[join]
-            if cidx.size == 0:
+            join = to_cm[self._mac_rng.random(to_cm.size) < _MAC_JOIN_P]
+            if join.size == 0:
                 continue
-            cl = self.m_cl[cidx]
-            u = self._mac_rng.random(cidx.size)
-            dly = (
-                u
-                * np.exp2(np.minimum(self.retry[ids[cidx]], mac.max_retries))
-                * self._backoff_scale
-            )
-            # Winner per cluster: stable descending argsort + last-write
-            # leaves the smallest delay (first occurrence on ties).
-            order = np.argsort(-dly, kind="stable")
-            winner = np.full(h, -1, dtype=np.int64)
-            winner[cl[order]] = cidx[order]
-            d1 = np.full(h, np.inf)
-            d1[cl[order]] = dly[order]
-            is_w = winner[cl] == cidx
-            d2 = np.full(h, np.inf)
-            sub = ~is_w
-            if sub.any():
-                np.minimum.at(d2, cl[sub], dly[sub])
-            contested = winner >= 0
-            # Exact fine-structure: sorted-interval overlap inside the
-            # winner's startup blind window.  Every contender whose
-            # backoff expires before the winner's radio is audible keys
-            # up too — the collision is k-way, not pairwise.
-            in_window = dly < d1[cl] + self._blind_s
-            count = np.zeros(h, dtype=np.int64)
-            np.add.at(count, cl[in_window], 1)
-            collide = contested & (count >= 2)
-            clean = contested & ~collide
+            u_at = np.empty(rset.size)
+            u_at[join] = self._mac_rng.random(join.size)
+            joined = np.zeros(rset.size, dtype=bool)
+            joined[join] = True
+            # Contenders in cluster-major order.
+            pos = joined.nonzero()[0]
+            rows = rset[pos]
+            cl = rcl[pos]
+            # Backoff u * 2^retry * slot * CW (retry never exceeds
+            # max_retries here: a collider past it resets to 0).
+            dly = u_at[pos] * np.exp2(self.retry[ids[rows]]) * self._backoff_scale
+            # Per-cluster race as segment reductions.  The winner is the
+            # first contender in member order at the segment's minimum
+            # delay d1 (exact ties are vanishingly rare; the fallback
+            # keeps the first one); d2 is the minimum over everyone else,
+            # inf when uncontested.
+            first = _run_heads(cl)
+            starts = first.nonzero()[0]
+            seg = first.astype(np.int64).cumsum() - 1
+            d1 = np.minimum.reduceat(dly, starts)
+            wk = (dly == d1[seg]).nonzero()[0]
+            if wk.size != starts.size:
+                wk = wk[_run_heads(seg[wk])]
+            rest = dly.copy()
+            rest[wk] = np.inf
+            d2 = np.minimum.reduceat(rest, starts)
+            # Exact fine-structure: every contender whose backoff expires
+            # before the winner's radio is audible keys up too, so the
+            # episode is k-way, and it happens exactly when the runner-up
+            # lands inside the winner's startup blind window.
+            window = d1 + self._blind_s
+            collide = d2 < window
+            clusters = cl[starts]
             if collide.any():
-                coll = in_window & collide[cl]
-                self._mac_collide(
-                    np.flatnonzero(collide),
-                    winner,
-                    cidx[coll],
-                    cl[coll],
-                    d1,
-                    d2,
+                coll = dly < np.where(collide, window, -np.inf)[seg]
+                run = coll.copy()
+                run[wk] = False
+                popped = self._mac_collide(
+                    clusters[collide],
+                    rows[wk[collide]],
+                    d1[collide],
+                    d2[collide],
+                    rows[coll],
+                    rows[run],
+                    seg[run],
                     snr,
                     t0,
                 )
-            if clean.any():
-                self._mac_transmit(np.flatnonzero(clean), winner, d1, snr, t0, head_of)
+                clean = ~collide
+                if clean.any():
+                    w = rows[wk[clean]]
+                    self._mac_transmit(clusters[clean], w, d1[clean], snr, t0)
+                    popped = np.concatenate((popped, w))
+            else:
+                popped = rows[wk]
+                self._mac_transmit(clusters, popped, d1, snr, t0)
+            # Retire the rows whose cluster clock passed t1, and the rows
+            # whose queue moved (a burst or a shed) and stopped qualifying.
+            live &= busy[rcl] < t1
+            still = self._qualifies(ids[popped], t1)
+            self._qual[popped] = still
+            live[at[popped[~still]]] = False
+        self._mac_deliver()
 
     def _mac_collide(
         self,
         cc: np.ndarray,
-        winner: np.ndarray,
-        rows: np.ndarray,
-        rcl: np.ndarray,
+        w_rows: np.ndarray,
         d1: np.ndarray,
         d2: np.ndarray,
+        c_rows: np.ndarray,
+        r_rows: np.ndarray,
+        r_seg: np.ndarray,
         snr: np.ndarray,
         t0: float,
-    ) -> None:
+    ) -> np.ndarray:
         """Resolve k-way collision episodes exactly.
 
-        ``cc`` are the collided cluster indices; ``rows``/``rcl`` name
-        every collider (member row, cluster) whose backoff landed inside
-        the winner's blind window.  The event kernel's fine structure,
-        reproduced here: the head's collision tone fires when the second
-        radio keys up, at which instant only the *winner* is audible
-        mid-transmission — it hears the tone, aborts, and is the one
-        sensor that counts a collision (``collisions_heard``).  The
-        later colliders are still in radio startup when the tone fires,
-        so they transmit their full burst corrupted, holding the channel
-        for the whole airtime.
+        Returns the member rows whose retry budget ran out and that shed
+        a burst.
+
+        ``cc`` are the collided clusters (ascending), ``w_rows`` their
+        winners' member rows and ``d1``/``d2`` the winner and runner-up
+        delays.  ``c_rows`` are the member rows of every collider
+        (winner included) whose backoff landed inside the winner's blind
+        window, and are sorted in place; ``r_rows`` are the runners among
+        them, grouped by episode, with ``r_seg`` naming each runner's
+        episode.
+
+        The event kernel's fine structure, reproduced here: the head's
+        collision tone fires when the second radio keys up, at which
+        instant only the *winner* is audible mid-transmission — it hears
+        the tone, aborts, and is the one sensor that counts a collision
+        (``collisions_heard``).  The later colliders are still in radio
+        startup when the tone fires, so they transmit their full burst
+        corrupted, holding the channel for the whole airtime.
         """
         mac = self.cfg.mac
+        model = self.model
         coll_dur = self.cfg.tone.collision_duration_s
-        colliders = self.m_ids[rows]
-        w_nodes = self.m_ids[winner[cc]]
+        # Charges list colliders in member order; they are few, so
+        # sorting their rows restores it.
+        c_rows.sort()
+        colliders = self.m_ids[c_rows]
+        w_nodes = self.m_ids[w_rows]
         self.collisions += cc.size
         self.retry[colliders] += 1
         # Exhausted retry budgets shed one burst's worth of packets.
-        exhausted = colliders[self.retry[colliders] > mac.max_retries]
+        out = self.retry[colliders] > mac.max_retries
+        exhausted = colliders[out]
         if exhausted.size:
             shed = np.minimum(self.qlen[exhausted], mac.max_burst_packets)
             self.dropped_retry += int(shed.sum())
-            self.qstart[exhausted] = (self.qstart[exhausted] + shed) % self.B
-            self.qlen[exhausted] -= shed
+            self._pop(exhausted, shed)
             self.retry[exhausted] = 0
         # Energy: every collider keys up and paid the CSI classify
         # listen before its backoff (mirrors the clean-attempt charge).
         nc = colliders.size
-        self._charges.append(
-            (
-                "startup",
-                colliders,
-                np.full(nc, self.model.startup_energy_j),
-            )
-        )
-        self._charges.append(
-            (
-                "tone_rx",
-                colliders,
-                np.full(
-                    nc,
-                    self.model.power_w("tone_rx")
-                    * self.cfg.tone.sensing_delay_s,
-                ),
-            )
-        )
+        self._charges.append(("startup", colliders, _filled(nc, self._e_startup)))
+        self._charges.append(("tone_rx", colliders, _filled(nc, self._e_listen)))
         # The winner transmits until the tone fires (d2 - d1 into its
         # burst), hears the 0.5 ms collision tone, and aborts.
-        self._charges.append(
-            (
-                "data_tx",
-                w_nodes,
-                self.model.power_w("data_tx") * (d2[cc] - d1[cc]),
-            )
-        )
-        self._charges.append(
-            (
-                "tone_rx",
-                w_nodes,
-                np.full(cc.size, self.model.power_w("tone_rx") * coll_dur),
-            )
-        )
+        p_tx = model.power_w("data_tx")
+        self._charges.append(("data_tx", w_nodes, p_tx * (d2 - d1)))
+        e_tone = model.power_w("tone_rx") * coll_dur
+        self._charges.append(("tone_rx", w_nodes, _filled(cc.size, e_tone)))
         # Runners never hear the tone: full corrupted-burst airtime at
         # their own measured SNR's mode, channel held until the longest
-        # one drains.
-        is_win = rows == winner[rcl]
-        run_rows = rows[~is_win]
-        air_max = np.zeros(self.heads.size)
-        if run_rows.size:
-            run_cl = rcl[~is_win]
-            run_nodes = self.m_ids[run_rows]
-            b = np.minimum(self.qlen[run_nodes], mac.max_burst_packets)
-            mode = np.maximum(
-                np.searchsorted(self.thr, snr[run_rows], side="right") - 1,
-                0,
-            )
-            airtime = (b * self.bits + self.overhead_bits) / self.rates[mode]
-            np.maximum.at(air_max, run_cl, airtime)
-            self._charges.append(
-                (
-                    "data_tx",
-                    run_nodes,
-                    self.model.power_w("data_tx") * airtime,
-                )
-            )
+        # one drains (every episode has at least one runner).  Their
+        # charge, too, lists them in member order.
+        r_nodes = self.m_ids[r_rows]
+        _b, _mode, airtime = self._burst(r_nodes, snr[r_rows])
+        order = r_rows.argsort()
+        self._charges.append(("data_tx", r_nodes[order], p_tx * airtime[order]))
+        air_max = np.maximum.reduceat(airtime, _run_heads(r_seg).nonzero()[0])
         heads = self.heads[cc]
-        self._charges.append(
-            (
-                "tone_tx",
-                heads,
-                np.full(cc.size, self.model.power_w("tone_tx") * coll_dur),
-            )
-        )
+        e_tone = model.power_w("tone_tx") * coll_dur
+        self._charges.append(("tone_tx", heads, _filled(cc.size, e_tone)))
         # Head data radio is in RX for the (corrupted) reception, like
         # the event kernel's state-time metering.
-        self._charges.append(
-            (
-                "data_rx",
-                heads,
-                self.model.power_w("data_rx") * air_max[cc],
-            )
-        )
-        entry = np.where(self.busy[cc] < t0, self._idle_entry_s, 0.0)
-        self.busy[cc] = (
-            np.maximum(self.busy[cc], t0)
-            + entry
-            + d2[cc]
-            + self._blind_s
-            + air_max[cc]
-        )
+        self._charges.append(("data_rx", heads, model.power_w("data_rx") * air_max))
+        self.busy[cc] = self._access_start(cc, t0) + d2 + self._blind_s + air_max
+        return c_rows[out]
+
+    def _access_start(self, clusters: np.ndarray, t0: float) -> np.ndarray:
+        """When each cluster's race starts.
+
+        That is its busy clock, or, for a channel idle since before
+        ``t0``, ``t0`` plus the idle access-entry cost.
+        """
+        busy = self.busy[clusters]
+        return np.where(busy < t0, t0 + self._idle_entry_s, busy)
+
+    def _burst(self, nodes: np.ndarray, snr: np.ndarray):
+        """Burst size, ABICM mode and airtime for senders at ``snr``."""
+        b = np.minimum(self.qlen[nodes], self.cfg.mac.max_burst_packets)
+        # Gated protocols qualified at >= thr[cls] >= thr[0]; pure LEACH
+        # transmits anyway in the most robust mode (0) when in outage.
+        mode = self._mode_edges.searchsorted(snr, side="right")
+        airtime = (b * self.bits + self.overhead_bits) / self.rates[mode]
+        return b, mode, airtime
+
+    def _pop(self, nodes: np.ndarray, b: np.ndarray) -> None:
+        """Drop ``b`` packets off the head of each node's queue."""
+        qs = (self.qstart[nodes] + b) % self.B
+        self.qstart[nodes] = qs
+        self.qlen[nodes] -= b
+        self.qhead[nodes] = self.qbirth.ravel()[nodes * self.B + qs]
 
     def _mac_transmit(
         self,
         sc: np.ndarray,
-        winner: np.ndarray,
+        w: np.ndarray,
         d1: np.ndarray,
         snr: np.ndarray,
         t0: float,
-        head_of: np.ndarray,
     ) -> None:
-        mac = self.cfg.mac
-        w = winner[sc]  # member rows
+        """Send the clean bursts.
+
+        Cluster ``sc[i]``'s winner, member row ``w[i]``, keys up
+        ``d1[i]`` into the race and sends one burst.
+        """
+        model = self.model
         nodes = self.m_ids[w]
-        b = np.minimum(self.qlen[nodes], mac.max_burst_packets)
         wsnr = snr[w]
-        mode = np.searchsorted(self.thr, wsnr, side="right") - 1
-        # Gated protocols qualified at >= thr[cls] >= thr[0]; pure LEACH
-        # transmits anyway in the most robust mode when in outage.
-        mode = np.maximum(mode, 0)
-        airtime = (b * self.bits + self.overhead_bits) / self.rates[mode]
-        entry = np.where(self.busy[sc] < t0, self._idle_entry_s, 0.0)
-        start = np.maximum(self.busy[sc], t0) + entry + d1[sc] + self._blind_s
-        end = start + airtime
+        b, mode, airtime = self._burst(nodes, wsnr)
+        end = self._access_start(sc, t0) + d1 + self._blind_s + airtime
         self.busy[sc] = end
         self.retry[nodes] = 0
-        # Pop the bursts (flat ring-buffer gather).
+        # The packets are resolved once per step by _mac_deliver: the
+        # popped slots stay intact until the next traffic phase.
+        self._bursts.append((sc, nodes, self.qstart[nodes], b, end, mode, wsnr))
+        self._pop(nodes, b)
+        # Energy: winner TX + startup + CSI listen; head RX for the burst.
+        k = nodes.size
+        self._charges.append(("data_tx", nodes, model.power_w("data_tx") * airtime))
+        self._charges.append(("startup", nodes, _filled(k, self._e_startup)))
+        self._charges.append(("tone_rx", nodes, _filled(k, self._e_listen)))
+        self._charges.append(
+            ("data_rx", self.heads[sc], model.power_w("data_rx") * airtime)
+        )
+
+    def _mac_deliver(self) -> None:
+        """Resolve the packets of every clean burst popped this step.
+
+        Bursts are taken in the order they were sent, so the per-packet
+        PER draws consume ``vector/phy`` exactly as resolving each
+        sub-iteration's bursts on the spot would, and the delay
+        reservoir is fed as if batch by batch.
+        """
+        bursts = self._bursts
+        if not bursts:
+            return
+        self._bursts = []
+        sc, nodes, qs, b, end, mode, wsnr = (np.concatenate(x) for x in zip(*bursts))
         tot = int(b.sum())
-        owner = np.repeat(np.arange(w.size), b)
-        within = np.arange(tot) - np.repeat(np.cumsum(b) - b, b)
-        onodes = nodes[owner]
-        slots = (self.qstart[onodes] + within) % self.B
-        births = self.qbirth[onodes, slots]
-        srcs = self.qsrc[onodes, slots]
-        self.qstart[nodes] = (self.qstart[nodes] + b) % self.B
-        self.qlen[nodes] -= b
+        # Flat ring-buffer gather of every popped slot.
+        B = self.B
+        first = b.cumsum() - b  # each burst's first packet
+        within = np.arange(tot) + (qs - first).repeat(b)
+        flat = (nodes * B).repeat(b) + within % B
         # Per-packet PER Bernoulli on the burst's measured SNR.
         perb = self.pertab.per(mode, wsnr)
-        ok = self._phy_rng.random(tot) >= np.repeat(perb, b)
-        n_lost = int((~ok).sum())
-        self.lost_channel += n_lost
-        n_ok = tot - n_lost
-        if n_ok:
-            ends = np.repeat(end, b)[ok]
-            obirths = births[ok]
-            osrcs = srcs[ok]
-            if self.cfg.routing.enabled:
-                self.cluster_delivered += n_ok
-                oc = np.repeat(sc, b)[ok]
-                hops1 = np.ones(1, dtype=np.int64)
-                for c in np.unique(oc):
-                    mask = oc == c
-                    cnt = int(mask.sum())
-                    self._relay_offer(
-                        int(c),
-                        obirths[mask],
-                        np.broadcast_to(hops1, (cnt,)),
-                        osrcs[mask],
-                    )
-            else:
-                self.delivered += n_ok
-                self.delivered_bits += n_ok * self.bits
-                self.delays.add(ends - obirths)
-                if self.bits_by_src is not None:
-                    np.add.at(self.bits_by_src, osrcs, self.bits)
-        # Energy: winner TX + startup + CSI listen; head RX for the burst.
-        self._charges.append(
-            ("data_tx", nodes, self.model.power_w("data_tx") * airtime)
-        )
-        self._charges.append(
-            (
-                "startup",
-                nodes,
-                np.full(nodes.size, self.model.startup_energy_j),
-            )
-        )
-        self._charges.append(
-            (
-                "tone_rx",
-                nodes,
-                np.full(
-                    nodes.size,
-                    self.model.power_w("tone_rx")
-                    * self.cfg.tone.sensing_delay_s,
-                ),
-            )
-        )
-        self._charges.append(
-            (
-                "data_rx",
-                head_of[sc],
-                self.model.power_w("data_rx") * airtime,
-            )
-        )
+        ok = self._phy_rng.random(tot) >= perb.repeat(b)
+        n_ok = int(np.count_nonzero(ok))
+        self.lost_channel += tot - n_ok
+        if n_ok == 0:
+            return
+        flat = flat[ok]
+        obirths = self.qbirth.ravel()[flat]
+        if self.cfg.routing.enabled or self.bits_by_src is not None:
+            osrcs = self.qsrc.ravel()[flat]
+        if self.cfg.routing.enabled:
+            # Offers only append to each cluster's own relay queue, so
+            # one offer per cluster, in burst order, is the same as one
+            # per cluster per sub-iteration.
+            self.cluster_delivered += n_ok
+            oc = sc.repeat(b)[ok]
+            hops1 = np.ones(1, dtype=np.int64)
+            for c in np.unique(oc):
+                mask = oc == c
+                cnt = int(mask.sum())
+                self._relay_offer(
+                    int(c),
+                    obirths[mask],
+                    np.broadcast_to(hops1, (cnt,)),
+                    osrcs[mask],
+                )
+            return
+        self.delivered += n_ok
+        self.delivered_bits += n_ok * self.bits
+        delays = end.repeat(b)[ok] - obirths
+        # Deliveries per sub-iteration: the reservoir's running delay
+        # sum depends on how its input is batched.
+        sizes = [burst[3].size for burst in bursts]
+        lead = first[np.cumsum(sizes) - sizes]  # each one's first packet
+        self.delays.add(delays, np.add.reduceat(ok, lead, dtype=np.int64).tolist())
+        if self.bits_by_src is not None:
+            np.add.at(self.bits_by_src, osrcs, self.bits)
 
     # -- uplink tier ---------------------------------------------------------
 
@@ -1399,15 +1459,11 @@ class VectorNetwork:
         # the moment its buffer drops below the burst minimum
         # (CaemSensorMac._consider_access -> _go_sleep), so idle-queue
         # members spend the step at sleep power, not monitor power.
+        # The MAC phase left every member's qualification at the step end
+        # in ``_qual`` (the MAC runs whenever there are members).
         if self.m_ids.size:
-            mac = self.cfg.mac
             ids = self.m_ids
-            q = self.qlen[ids]
-            oldest = self.qbirth[ids, self.qstart[ids] % self.B]
-            qual = (q >= mac.min_burst_packets) | (
-                (q > 0) & (t0 + sdt - oldest >= mac.min_burst_wait_s)
-            )
-            att = ids[qual & self.attached[ids] & up[ids]]
+            att = ids[self._qual & self.attached[ids] & up[ids]]
         else:
             att = np.empty(0, dtype=np.int64)
         if att.size:
@@ -1448,16 +1504,29 @@ class VectorNetwork:
                 )
         # Settle: cap each node's spend at its remaining charge, pro-rate
         # the per-cause ledger for partially covered (dying) nodes.
-        demand = np.zeros(self.n)
-        for _cause, ids, vals in self._charges:
-            np.add.at(demand, ids, vals)
+        # One bincount over the charges in list order adds each node's
+        # charges in the same sequence as charge-by-charge accumulation.
+        charges = self._charges
+        if charges:
+            demand = np.bincount(
+                np.concatenate([c[1] for c in charges]),
+                weights=np.concatenate([c[2] for c in charges]),
+                minlength=self.n,
+            )
+        else:
+            demand = np.zeros(self.n)
         spend = np.minimum(demand, self.level)
-        ratio = np.ones(self.n)
         pos = demand > 0
-        ratio[pos] = spend[pos] / demand[pos]
         bd = self.breakdown
-        for cause, ids, vals in self._charges:
-            bd[cause] = bd.get(cause, 0.0) + float((vals * ratio[ids]).sum())
+        if (demand > self.level).any():
+            ratio = np.ones(self.n)
+            ratio[pos] = spend[pos] / demand[pos]
+            for cause, ids, vals in charges:
+                bd[cause] = bd.get(cause, 0.0) + float((vals * ratio[ids]).sum())
+        else:
+            # Nobody is capped: every ratio is exactly 1.
+            for cause, _ids, vals in charges:
+                bd[cause] = bd.get(cause, 0.0) + float(vals.sum())
         self.level -= spend
         self.drawn += spend
         dying = self.alive & pos & (demand >= self.level + spend - _EPS)

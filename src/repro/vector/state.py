@@ -97,15 +97,33 @@ class PerTables:
             self.tables[k] = [
                 mode.packet_error_rate(float(s), packet_length_bits) for s in self.grid
             ]
+        # Per-interval slopes, the exact expression np.interp evaluates,
+        # plus a zero slope past the last grid point; both tables are
+        # flattened and indexed ``mode * grid.size + interval``.
+        g = self.grid
+        slopes = np.zeros_like(self.tables)
+        slopes[:, :-1] = (self.tables[:, 1:] - self.tables[:, :-1]) / (g[1:] - g[:-1])
+        self._fp = self.tables.ravel()
+        self._slopes = slopes.ravel()
 
     def per(self, mode_idx: np.ndarray, snr_db: np.ndarray) -> np.ndarray:
-        """Vectorized PER lookup for (mode, SNR) pairs."""
-        out = np.empty(snr_db.shape)
-        for k in range(self.n_modes):
-            sel = mode_idx == k
-            if sel.any():
-                out[sel] = np.interp(snr_db[sel], self.grid, self.tables[k])
-        return out
+        """Vectorized PER lookup for (mode, SNR) pairs.
+
+        Bit-for-bit ``np.interp(snr, grid, tables[mode])`` for every
+        pair, all modes in one pass (np.interp bisects, which costs far
+        more on unsorted input).  The SNR is clamped to the grid, whose
+        end points evaluate to the end values np.interp returns outside
+        it; the interval comes from the uniform spacing, corrected by
+        exact comparisons, and feeds the same ``slope * (x - x_j) + y_j``
+        arithmetic.
+        """
+        g = self.grid
+        x = np.minimum(np.maximum(snr_db, g[0]), g[-1])
+        j = np.minimum((x - self.LO_DB) / self.STEP_DB, g.size - 2).astype(np.int64)
+        j -= g[j] > x
+        j += g[j + 1] <= x
+        k = mode_idx * g.size + j
+        return self._slopes[k] * (x - g[j]) + self._fp[k]
 
 
 class SeriesRecorder:
@@ -165,11 +183,25 @@ class BatchReservoir:
             self._buf = np.empty(cap)
             self._chunks = []
 
-    def add(self, values: np.ndarray) -> None:
+    def add(self, values: np.ndarray, parts: Optional[Sequence[int]] = None) -> None:
+        """Add a batch of values.
+
+        With ``parts``, the result is exactly that of adding consecutive
+        batches of those sizes one by one: the running sum accumulates
+        per batch, and the sampler itself (fill order, replacement draws
+        and positions) does not depend on how the values are batched.
+        """
         k = values.size
         if k == 0:
             return
-        self.sum += float(values.sum())
+        if parts is None:
+            self.sum += float(values.sum())
+        else:
+            lo = 0
+            for size in parts:
+                if size:
+                    self.sum += float(values[lo : lo + size].sum())
+                    lo += size
         self.count += k
         if self.cap is None:
             self._chunks.append(np.asarray(values, dtype=float).copy())
@@ -184,10 +216,10 @@ class BatchReservoir:
             # j ~ Uniform{0..seen+i} for the i-th remaining value; keep
             # when j lands inside the reservoir — chunked Algorithm R.
             base = self.seen + fill
-            span = base + 1 + np.arange(rest.size)
+            span = np.arange(base + 1, base + 1 + rest.size, dtype=float)
             j = (self.rng.random(rest.size) * span).astype(np.int64)
-            hit = j < cap
-            if hit.any():
+            hit = np.flatnonzero(j < cap)
+            if hit.size:
                 self._buf[j[hit]] = rest[hit]
         self.seen += k
 
