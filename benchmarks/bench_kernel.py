@@ -4,13 +4,13 @@ Unlike the figure benches these are true latency benchmarks (many
 rounds): the event loop and the lazy channel samplers are the two hot
 paths that bound how large a network the simulator can carry.
 
-Record a baseline (serially — this container has one CPU) with::
+Run them (serially) with::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_kernel.py \
-        --benchmark-json=benchmarks/BENCH_kernel.json -q
+    PYTHONPATH=src python -m pytest benchmarks/bench_kernel.py -q
 
-``benchmarks/BENCH_kernel.json`` is committed so subsequent PRs have a
-perf trajectory to compare against (``pytest-benchmark compare``).
+No baseline is committed: the repository benchmark
+(``perfbench/run.py``) is the regression gate, and it measures the
+event kernel through its ``paper-campaign`` workload.
 """
 
 import numpy as np

@@ -30,7 +30,6 @@ Quickstart::
         print(scenario.describe(), run.delivery_rate)
 """
 
-from .bench import BenchReport, BenchResult, run_bench
 from .campaign import (
     Campaign,
     CampaignIncompleteError,
@@ -55,8 +54,6 @@ from .scenario import Scenario
 from .store import ResultStore
 
 __all__ = [
-    "BenchReport",
-    "BenchResult",
     "Campaign",
     "CampaignIncompleteError",
     "CampaignResult",
@@ -72,7 +69,6 @@ __all__ = [
     "experiment",
     "get_experiment",
     "list_experiments",
-    "run_bench",
     "run_scenarios",
     "simulate",
     "use_executor",

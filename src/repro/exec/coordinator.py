@@ -1,4 +1,4 @@
-"""Coordinator HTTP surface for the distributed executor.
+"""The distributed executor's work routes.
 
 The wire protocol is four stdlib-only JSON endpoints in front of a
 :class:`~repro.exec.board.LeaseBoard`:
@@ -10,22 +10,20 @@ The wire protocol is four stdlib-only JSON endpoints in front of a
 * ``GET  /work/status``     → board counts + per-worker stats
 
 :func:`handle_work` implements the routes as a transport-independent
-``(status, payload)`` function so the same code serves two hosts: the
-standalone :class:`CoordinatorServer` below (what ``--executor
-distributed`` self-hosts from the CLI) and the campaign server's handler
-(``repro-caem serve --distributed``), which delegates ``/work/*`` here.
+``(status, payload)`` function.  The HTTP side lives in
+:mod:`repro.service.http`: its handler serves them both from the
+:class:`~repro.service.http.WorkServer` that ``--executor distributed``
+self-hosts and from the campaign server (``repro-caem serve
+--distributed``).
 """
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .board import LeaseBoard
 
-__all__ = ["handle_work", "CoordinatorServer", "start_coordinator"]
+__all__ = ["handle_work"]
 
 
 def handle_work(
@@ -76,94 +74,3 @@ def handle_work(
         return 200, {"accepted": accepted}
 
     return None
-
-
-class _CoordinatorHandler(BaseHTTPRequestHandler):
-    """Minimal JSON handler: every route is a :func:`handle_work` call."""
-
-    server_version = "repro-coordinator/1"
-    protocol_version = "HTTP/1.1"
-    # 1 MB cap — a result payload is a few KB; anything bigger is a bug.
-    max_body = 1_000_000
-
-    def log_message(self, fmt, *args):  # noqa: D102 - quiet by default
-        if not getattr(self.server, "quiet", True):
-            super().log_message(fmt, *args)
-
-    def _respond(self, status: int, payload: Dict[str, Any]) -> None:
-        raw = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def _dispatch(self, method: str) -> None:
-        parts = [p for p in self.path.split("?", 1)[0].split("/") if p]
-        body = None
-        if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > self.max_body:
-                self._respond(413, {"error": "request body too large"})
-                return
-            try:
-                body = json.loads(self.rfile.read(length) or b"{}")
-            except (ValueError, UnicodeDecodeError):
-                self._respond(400, {"error": "request body is not JSON"})
-                return
-        try:
-            routed = handle_work(self.server.board, method, parts, body)
-        except Exception as exc:  # noqa: BLE001 - keep the server alive
-            self._respond(500, {"error": f"{type(exc).__name__}: {exc}"})
-            return
-        if routed is None:
-            self._respond(404, {"error": f"no such route: {self.path}"})
-            return
-        self._respond(*routed)
-
-    def do_GET(self):  # noqa: N802
-        self._dispatch("GET")
-
-    def do_POST(self):  # noqa: N802
-        self._dispatch("POST")
-
-
-class CoordinatorServer(ThreadingHTTPServer):
-    """Self-hosted work server for CLI-driven distributed campaigns."""
-
-    daemon_threads = True
-
-    def __init__(self, address, board: LeaseBoard, quiet: bool = True):
-        super().__init__(address, _CoordinatorHandler)
-        self.board = board
-        self.quiet = quiet
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[0], self.server_address[1]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "CoordinatorServer":
-        self._thread = threading.Thread(
-            target=self.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="repro-coordinator",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-
-def start_coordinator(
-    host: str, port: int, board: LeaseBoard, quiet: bool = True
-) -> CoordinatorServer:
-    """Bind + start a coordinator; ``port=0`` picks a free port."""
-    return CoordinatorServer((host, port), board, quiet=quiet).start()

@@ -25,7 +25,7 @@ campaigns' flushers write the settled result (each from its own
 :class:`RunResult` copy — provenance stamps don't bleed across).
 
 With no ``board`` argument the executor **self-hosts**: it starts a
-:class:`~repro.exec.coordinator.CoordinatorServer` on ``spec.bind`` and
+:class:`~repro.service.http.WorkServer` on ``spec.bind`` and
 optionally spawns ``spec.local_workers`` worker subprocesses — which is
 how ``repro-caem run --executor distributed:local=2`` works with no
 other process involved.
@@ -75,10 +75,9 @@ class DistributedExecutor(CampaignExecutor):
     def _ensure_server(self) -> None:
         if not self._owns_board or self._server is not None:
             return
-        from .coordinator import start_coordinator
+        from ..service.http import WorkServer
 
-        host, port = self.spec.bind_address()
-        self._server = start_coordinator(host, port, self.board)
+        self._server = WorkServer(self.spec.bind_address(), self.board).start()
         for i in range(self.spec.local_workers):
             self._local_procs.append(self._spawn_local_worker(i))
 

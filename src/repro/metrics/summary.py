@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtrit
 
 from ..errors import ExperimentError
 
@@ -57,5 +57,7 @@ def summarize(values: Sequence[Optional[float]], confidence: float = 0.95) -> Su
         return Summary(1, mean, 0.0, mean, mean)
     std = float(arr.std(ddof=1))
     sem = std / math.sqrt(n)
-    t = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    # stdtrit is the Student-t quantile (the distribution's ppf, bit for
+    # bit); scipy.special is loaded at start-up anyway.
+    t = float(stdtrit(n - 1, 0.5 + confidence / 2.0))
     return Summary(n, mean, std, mean - t * sem, mean + t * sem)

@@ -27,6 +27,12 @@ workflow needs:
                                     ``limit`` / ``full=1`` for series
 ==================================  ========================================
 
+The ``/work/*`` routes alone are served by :class:`WorkServer`, which
+the distributed executor self-hosts for ``--executor distributed``; the
+campaign server is a :class:`WorkServer` with the campaign routes added.
+Both run the one handler below: one body reader (413 oversized, 400
+malformed), one JSON writer and one 400/500 error mapping.
+
 Concurrency: WAL mode on the database means the read endpoints serve
 consistent snapshots while worker threads append mid-campaign.
 """
@@ -34,6 +40,7 @@ consistent snapshots while worker threads append mid-campaign.
 from __future__ import annotations
 
 import json
+import threading
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
@@ -47,9 +54,9 @@ from .jobs import JobManager
 from .migrations import SCHEMA_VERSION
 from .query import aggregate_runs, parse_predicate, query_runs
 
-__all__ = ["CampaignServer", "build_server"]
+__all__ = ["CampaignServer", "WorkServer", "build_server"]
 
-_MAX_BODY_BYTES = 1 << 20  # campaign specs are small; refuse megabyte bodies
+_MAX_BODY_BYTES = 1 << 20  # specs and results are small; refuse megabyte bodies
 
 
 class _HttpError(Exception):
@@ -60,10 +67,51 @@ class _HttpError(Exception):
         self.status = status
 
 
-class CampaignServer(ThreadingHTTPServer):
-    """HTTP server owning the shared result database and job manager."""
+class WorkServer(ThreadingHTTPServer):
+    """HTTP server for the ``/work/*`` routes of a lease board.
+
+    ``board`` is the :class:`~repro.exec.board.LeaseBoard` that remote
+    ``repro-caem worker`` processes lease from; ``None`` 404s the
+    routes (a campaign server started without ``--distributed``).
+    """
 
     daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], board=None, quiet: bool = True):
+        super().__init__(address, _Handler)
+        self.board = board
+        self.quiet = quiet
+        self._thread: Optional[threading.Thread] = None
+
+    @property
+    def url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def start(self) -> "WorkServer":
+        """Serve from a daemon thread until :meth:`close`."""
+        self._thread = threading.Thread(
+            target=self.serve_forever,
+            # close() waits out one poll; the stdlib 0.5 s would add
+            # that much to every self-hosted distributed campaign.
+            kwargs={"poll_interval": 0.1},
+            name="repro-work-server",
+            daemon=True,
+        )
+        self._thread.start()
+        return self
+
+    def close(self) -> None:
+        """Stop serving (the caller's or :meth:`start`'s thread)."""
+        self.shutdown()
+        self.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5)
+            self._thread = None
+
+
+class CampaignServer(WorkServer):
+    """HTTP server owning the shared result database and job manager."""
 
     def __init__(
         self,
@@ -73,19 +121,13 @@ class CampaignServer(ThreadingHTTPServer):
         quiet: bool = False,
         board=None,
     ):
-        super().__init__(address, _Handler)
+        super().__init__(address, board=board, quiet=quiet)
         self.db = db
         self.manager = manager
-        self.quiet = quiet
-        #: The distributed lease board (``serve --distributed``): when
-        #: set, ``/work/*`` routes serve remote ``repro-caem worker``
-        #: processes; when ``None`` those routes 404.
-        self.board = board
 
     def close(self) -> None:
         """Stop serving and drain the worker pool (tests, SIGINT path)."""
-        self.shutdown()
-        self.server_close()
+        super().close()
         self.manager.shutdown()
 
 
@@ -127,7 +169,7 @@ class _MemoryRows:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    server: CampaignServer
+    server: WorkServer
 
     protocol_version = "HTTP/1.1"
 
@@ -170,7 +212,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(
                 413,
                 f"request body too large ({length} bytes; the limit is "
-                f"{_MAX_BODY_BYTES}) — campaign specs are small JSON objects",
+                f"{_MAX_BODY_BYTES}) — specs and results are small JSON "
+                f"objects",
             )
         raw = self.rfile.read(length)
         try:
@@ -184,19 +227,41 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routing ---------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        url = urlparse(self.path)
-        params = parse_qs(url.query)
-        parts = [p for p in url.path.split("/") if p]
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch("POST")
+
+    def _dispatch(self, method: str) -> None:
+        """Route one request; map every failure to a JSON error."""
         try:
+            self._route(method, urlparse(self.path))
+        except _HttpError as exc:
+            self._error(exc.status, str(exc))
+        except (ReproError, ValueError) as exc:
+            self._error(400, str(exc))
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # streaming client went away — nothing to answer
+        except Exception as exc:  # noqa: BLE001 - no tracebacks to clients
+            self._internal_error(exc)
+
+    def _route(self, method: str, url) -> None:
+        parts = [p for p in url.path.split("/") if p]
+        if parts[:1] == ["work"]:
+            return self._work(method, parts)
+        campaigns = isinstance(self.server, CampaignServer)
+        if campaigns and method == "POST" and parts == ["campaigns"]:
+            record = self.server.manager.submit(self._read_body())
+            return self._send_json(record.snapshot(), status=202)
+        if campaigns and method == "GET":
+            params = parse_qs(url.query)
             if parts == ["health"]:
                 return self._get_health()
             if parts == ["experiments"]:
                 return self._get_experiments()
             if parts == ["runs"]:
                 return self._get_runs(params)
-            if parts and parts[0] == "work":
-                return self._work(parts, None, "GET")
-            if parts and parts[0] == "campaigns":
+            if parts[:1] == ["campaigns"]:
                 if len(parts) == 1:
                     return self._get_campaigns()
                 job = self.server.manager.get(parts[1])
@@ -208,35 +273,7 @@ class _Handler(BaseHTTPRequestHandler):
                     return self._get_figure(job, params)
                 if len(parts) == 3 and parts[2] == "agg":
                     return self._get_agg(job, params)
-            self._error(404, f"no such endpoint: {url.path}")
-        except _HttpError as exc:
-            self._error(exc.status, str(exc))
-        except (ReproError, ValueError) as exc:
-            self._error(400, str(exc))
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # streaming client went away — nothing to answer
-        except Exception as exc:  # noqa: BLE001 - no tracebacks to clients
-            self._internal_error(exc)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        try:
-            if parts == ["campaigns"]:
-                spec = self._read_body()
-                record = self.server.manager.submit(spec)
-                return self._send_json(record.snapshot(), status=202)
-            if parts and parts[0] == "work":
-                return self._work(parts, self._read_body(), "POST")
-            self._error(404, f"no such endpoint: {url.path}")
-        except _HttpError as exc:
-            self._error(exc.status, str(exc))
-        except (ReproError, ValueError) as exc:
-            self._error(400, str(exc))
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        except Exception as exc:  # noqa: BLE001 - no tracebacks to clients
-            self._internal_error(exc)
+        self._error(404, f"no such endpoint: {url.path}")
 
     def _internal_error(self, exc: Exception) -> None:
         """A 500 as structured JSON — never an unhandled traceback.
@@ -338,9 +375,8 @@ class _Handler(BaseHTTPRequestHandler):
             return self._error(409, "figure not rendered yet; poll until done")
         self._send_text(job.figure_text)
 
-    def _work(self, parts: List[str], body: Optional[Dict[str, Any]],
-              method: str) -> None:
-        """Delegate ``/work/*`` to the distributed coordinator routes."""
+    def _work(self, method: str, parts: List[str]) -> None:
+        """Serve ``/work/*`` from the distributed coordinator routes."""
         board = self.server.board
         if board is None:
             return self._error(
@@ -348,6 +384,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "this server has no distributed lease board — start it "
                 "with 'repro-caem serve --distributed'",
             )
+        body = self._read_body() if method == "POST" else None
         routed = handle_work(board, method, parts, body)
         if routed is None:
             return self._error(404, f"no such endpoint: {self.path}")

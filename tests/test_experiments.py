@@ -133,26 +133,38 @@ class TestCli:
         return code, buf.getvalue()
 
     def test_table1(self):
-        code, out = self._run("table1")
+        code, out = self._run("run", "table1")
         assert code == 0 and "idle" in out and "50" in out
 
     def test_table2(self):
-        code, out = self._run("table2")
+        code, out = self._run("run", "table2")
         assert code == 0 and "0.66 W" in out
 
     def test_fig8_smoke(self):
-        code, out = self._run("fig8", "--preset", "smoke")
+        code, out = self._run("run", "fig8", "--preset", "smoke")
         assert code == 0
         assert "pure LEACH" in out and "Scheme 2" in out
 
     def test_csv_output(self, tmp_path):
-        code, out = self._run("table1", "--out", str(tmp_path))
+        code, out = self._run("run", "table1", "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "table1.csv").exists()
 
     def test_bad_experiment_rejected(self):
         with pytest.raises(SystemExit):
-            self._run("fig99")
+            self._run("run", "fig99")
+
+    def test_bare_experiment_name_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig8", "--preset", "smoke"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fig8'" in capsys.readouterr().err
+
+    def test_cli_run_accepts_profile(self):
+        args = build_parser().parse_args(
+            ["run", "table1", "--profile", "out.pstats"]
+        )
+        assert args.profile == "out.pstats"
 
     def test_executor_is_the_only_execution_flag(self):
         def help_text(command):

@@ -1,5 +1,10 @@
 """Metrics: collectors, lifetime, fairness, summary."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -167,3 +172,28 @@ class TestSummary:
     def test_bad_confidence(self):
         with pytest.raises(ExperimentError):
             summarize([1.0, 2.0], confidence=1.5)
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
+    def test_interval_equals_scipy_stats_t_ppf(self, confidence):
+        """The t quantile comes from scipy.special; it must equal the
+        scipy.stats one bit for bit, so every stored CI is unchanged."""
+        from scipy import stats
+
+        rng = np.random.default_rng(7)
+        for df in range(1, 201):
+            values = list(rng.normal(5.0, 1.5, size=df + 1))
+            s = summarize(values, confidence=confidence)
+            arr = np.asarray(values)
+            sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
+            t = float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
+            assert (s.ci_low, s.ci_high) == (s.mean - t * sem, s.mean + t * sem)
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        probe = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

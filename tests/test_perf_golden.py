@@ -10,22 +10,19 @@ pins that contract three ways:
 * stream-equivalence tests: :class:`repro.rng.NormalBlockCache` serves
   the bit-exact per-draw sequence of scalar ``Generator.normal`` calls,
   including across block boundaries and through the channel processes;
-* perf-harness unit tests: baseline parsing and the regression gate of
-  ``repro-caem bench``.
+* kernel satellites: heap bookkeeping the optimizations must keep exact.
 
 If an intentional modelling change legitimately alters an artefact,
 recompute the hashes here in the same PR and say so in its description.
 """
 
 import hashlib
-import json
 import math
 
 import numpy as np
 import pytest
 
 from repro.api import get_experiment
-from repro.api.bench import BenchReport, BenchResult, load_baseline_times
 from repro.channel import Link, LinkBudget, RayleighFading
 from repro.channel.shadowing import GaussMarkovShadowing
 from repro.config import ChannelConfig
@@ -265,118 +262,3 @@ class TestKernelSatellites:
         tracer = Tracer(keep_kernel_events=True)
         assert drive(None) == drive(tracer)
         assert [r.time for r in tracer.records] == [1.0, 1.0, 2.0]
-
-
-class TestBenchHarness:
-    def test_load_baseline_times_reads_pytest_benchmark_json(self, tmp_path):
-        doc = {
-            "benchmarks": [
-                {"name": "test_kernel_event_throughput", "stats": {"min": 0.01}},
-                {"name": "test_network_100_node_quick_run", "stats": {"min": 0.6}},
-                {"name": "unrelated", "stats": {"min": 1.0}},
-            ]
-        }
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps(doc))
-        times = load_baseline_times(path)
-        assert times == {
-            "kernel/event-throughput": 0.01,
-            "network/quick-run-100": 0.6,
-        }
-
-    def test_load_baseline_times_missing_file_is_empty(self, tmp_path):
-        assert load_baseline_times(tmp_path / "nope.json") == {}
-
-    def test_load_baseline_times_corrupt_file_is_an_error(self, tmp_path):
-        from repro.errors import ReproError
-
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"benchmarks": [{"name": "x", "stats": {}}]}')
-        with pytest.raises(ReproError, match="not pytest-benchmark"):
-            load_baseline_times(bad)
-
-    def test_gate_refuses_partial_baseline(self, tmp_path):
-        """A baseline matching only some gated benches must error: a
-        renamed test would otherwise silently leave the CI gate."""
-        from repro.api.bench import run_bench
-        from repro.errors import ReproError
-
-        partial = tmp_path / "partial.json"
-        partial.write_text(
-            json.dumps(
-                {
-                    "benchmarks": [
-                        {
-                            "name": "test_kernel_event_throughput",
-                            "stats": {"min": 0.01},
-                        }
-                    ]
-                }
-            )
-        )
-        with pytest.raises(ReproError, match="push-pop-cancel-churn"):
-            run_bench(
-                tier="quick",
-                baseline_path=partial,
-                trajectory_path=None,
-                fail_threshold=2.0,
-            )
-
-    def test_regression_gate(self):
-        report = BenchReport(
-            tier="quick",
-            results=[
-                BenchResult("a", seconds=0.5, rounds=1, baseline_s=1.0),
-                BenchResult("b", seconds=2.5, rounds=1, baseline_s=1.0),
-                BenchResult("c", seconds=9.9, rounds=1, baseline_s=None),
-            ],
-            fail_threshold=2.0,
-        )
-        assert not report.ok
-        assert [r.name for r in report.regressions] == ["b"]
-        rendered = report.render()
-        assert "FAIL" in rendered and "b" in rendered
-
-    def test_gate_passes_within_threshold(self):
-        report = BenchReport(
-            tier="quick",
-            results=[BenchResult("a", 1.5, 1, baseline_s=1.0)],
-            fail_threshold=2.0,
-        )
-        assert report.ok and "OK" in report.render()
-
-    def test_speedup_property(self):
-        assert BenchResult("a", 0.5, 1, baseline_s=1.0).speedup == 2.0
-        assert BenchResult("a", 0.5, 1).speedup is None
-
-    def test_gate_refuses_to_run_without_baseline(self, tmp_path):
-        """--fail-threshold with a missing/mismatched baseline must error,
-        not pass vacuously (the CI gate would otherwise be silently green)."""
-        from repro.api.bench import run_bench
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="no baseline entries"):
-            run_bench(
-                tier="quick",
-                baseline_path=tmp_path / "missing.json",
-                trajectory_path=None,
-                fail_threshold=2.0,
-            )
-
-    def test_cli_parser_accepts_bench(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["bench", "--tier", "quick", "--fail-threshold", "2.0"]
-        )
-        assert args.command == "bench"
-        assert args.tier == "quick"
-        assert args.fail_threshold == 2.0
-
-    def test_cli_run_accepts_profile(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["run", "table1", "--profile", "out.pstats"]
-        )
-        assert args.profile == "out.pstats"

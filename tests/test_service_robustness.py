@@ -4,7 +4,9 @@ The job manager must never strand a long-poller (shutdown aborts queued
 and running jobs and wakes their waiters), supervised jobs must land in
 an explicit ``incomplete`` status with a quarantine report, and the HTTP
 front must answer hostile input with structured JSON errors — 413 for
-oversized bodies, 400 for malformed ones, 500 (no traceback) for bugs.
+oversized bodies, 400 for malformed ones, 404 for unknown routes, 500
+(no traceback) for bugs — on the campaign server and on the work server
+a distributed campaign self-hosts alike.
 """
 
 import json
@@ -17,6 +19,7 @@ import urllib.request
 import pytest
 
 from repro.api import registry
+from repro.exec import get_executor
 from repro.service import DbResultStore, JobManager, build_server
 from repro.service.faults import FaultPlan, inject_faults
 
@@ -31,7 +34,9 @@ GRID_SPEC = {
 
 @pytest.fixture()
 def server(tmp_path):
-    srv = build_server(tmp_path / "service.sqlite", port=0, quiet=True)
+    srv = build_server(
+        tmp_path / "service.sqlite", port=0, quiet=True, distributed=True
+    )
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     try:
@@ -41,14 +46,25 @@ def server(tmp_path):
         thread.join(timeout=5.0)
 
 
+@pytest.fixture()
+def board_server():
+    """The work server ``--executor distributed`` self-hosts."""
+    executor = get_executor("distributed:lease=10")
+    executor._ensure_server()
+    try:
+        yield executor._server
+    finally:
+        executor.close()
+
+
 def _url(server, path):
     host, port = server.server_address[:2]
     return f"http://{host}:{port}{path}"
 
 
-def _post_raw(server, body, headers=None):
+def _post_raw(server, path, body, headers=None):
     request = urllib.request.Request(
-        _url(server, "/campaigns"),
+        _url(server, path),
         data=body,
         headers=headers or {"Content-Type": "application/json"},
     )
@@ -68,7 +84,9 @@ def _raw_http(server, request_bytes):
         sock.settimeout(10)
         data = b""
         while b"\r\n\r\n" not in data:
-            data += sock.recv(4096)
+            chunk = sock.recv(4096)
+            assert chunk, f"connection closed after {data!r}"
+            data += chunk
         head, _, body = data.partition(b"\r\n\r\n")
         status = int(head.split(b" ", 2)[1])
         length = 0
@@ -82,59 +100,110 @@ def _raw_http(server, request_bytes):
 
 
 class TestHttpHardening:
-    def test_oversized_body_is_413(self, server):
+    """Hostile input against the campaign server's POST /campaigns.
+
+    :class:`TestBoardHttpHardening` reruns every test against the
+    self-hosted distributed work server: both hosts share one handler.
+    """
+
+    path = "/campaigns"
+
+    @pytest.fixture()
+    def host(self, server):
+        return server
+
+    def _post_head(self, headers=b""):
+        return (f"POST {self.path} HTTP/1.1\r\nHost: t\r\n".encode()
+                + headers + b"\r\n")
+
+    def _break_a_route(self, host, monkeypatch):
+        """Make one route raise; return the request that reaches it."""
+        def broken():
+            raise RuntimeError("wires crossed")
+
+        monkeypatch.setattr(host.manager, "list", broken)
+        return urllib.request.Request(_url(host, "/campaigns"))
+
+    def test_oversized_body_is_413(self, host):
         status, body = _raw_http(
-            server,
-            b"POST /campaigns HTTP/1.1\r\nHost: t\r\n"
-            b"Content-Length: 10000000\r\n\r\n",
+            host, self._post_head(b"Content-Length: 10000000\r\n")
         )
         assert status == 413
         assert "too large" in body["error"]
 
-    def test_malformed_content_length_is_400(self, server):
+    def test_malformed_content_length_is_400(self, host):
         status, body = _raw_http(
-            server,
-            b"POST /campaigns HTTP/1.1\r\nHost: t\r\n"
-            b"Content-Length: banana\r\n\r\n",
+            host, self._post_head(b"Content-Length: banana\r\n")
         )
         assert status == 400
         assert "Content-Length" in body["error"]
 
-    def test_malformed_json_body_is_400(self, server):
+    def test_malformed_json_body_is_400(self, host):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post_raw(server, b"{not json")
+            _post_raw(host, self.path, b"{not json")
         assert excinfo.value.code == 400
         assert "not JSON" in json.loads(excinfo.value.read())["error"]
 
-    def test_non_object_json_body_is_400(self, server):
+    def test_non_object_json_body_is_400(self, host):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post_raw(server, b"[1, 2, 3]")
+            _post_raw(host, self.path, b"[1, 2, 3]")
         assert excinfo.value.code == 400
         assert "JSON object" in json.loads(excinfo.value.read())["error"]
 
-    def test_empty_body_is_400(self, server):
-        status, body = _raw_http(
-            server, b"POST /campaigns HTTP/1.1\r\nHost: t\r\n\r\n"
-        )
+    def test_empty_body_is_400(self, host):
+        status, body = _raw_http(host, self._post_head())
         assert status == 400
         assert "body required" in body["error"]
 
-    def test_internal_error_is_500_json_without_traceback(
-        self, server, monkeypatch
-    ):
-        def broken():
-            raise RuntimeError("wires crossed")
-
-        monkeypatch.setattr(server.manager, "list", broken)
+    def test_unknown_work_route_is_404(self, host):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            with urllib.request.urlopen(_url(server, "/campaigns"),
-                                        timeout=30):
+            _post_raw(host, "/work/bogus", b'{"worker": "w"}')
+        assert excinfo.value.code == 404
+        assert "no such endpoint" in json.loads(excinfo.value.read())["error"]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(_url(host, "/work/lease"), timeout=30)
+        assert excinfo.value.code == 404
+
+    def test_internal_error_is_500_json_without_traceback(
+        self, host, monkeypatch
+    ):
+        request = self._break_a_route(host, monkeypatch)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            with urllib.request.urlopen(request, timeout=30):
                 pass
         assert excinfo.value.code == 500
         body = excinfo.value.read().decode()
         payload = json.loads(body)
         assert payload["error"] == "internal error: RuntimeError: wires crossed"
         assert "Traceback" not in body
+
+
+class TestBoardHttpHardening(TestHttpHardening):
+    """The same hostile input against a self-hosted board's /work/lease."""
+
+    path = "/work/lease"
+
+    @pytest.fixture()
+    def host(self, board_server):
+        return board_server
+
+    def _break_a_route(self, host, monkeypatch):
+        def broken(worker):
+            raise RuntimeError("wires crossed")
+
+        monkeypatch.setattr(host.board, "lease", broken)
+        return urllib.request.Request(
+            _url(host, self.path), data=b'{"worker": "w"}',
+            headers={"Content-Type": "application/json"},
+        )
+
+    def test_campaign_routes_are_404(self, host):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(_url(host, "/health"), timeout=30)
+        assert excinfo.value.code == 404
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post_raw(host, "/campaigns", b"{}")
+        assert excinfo.value.code == 404
 
 
 class TestJobAbortSemantics:
