@@ -40,7 +40,7 @@ import dataclasses
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Sequence, Union
+from typing import Any, Dict, Iterator, List, Sequence, Tuple, Union
 
 from ..errors import ExperimentError
 from .result import RunResult, SERIES_FIELDS
@@ -196,11 +196,15 @@ class ResultStore:
         if not self.path.exists():
             return
         if self.format == "jsonl":
-            yield from self._iter_jsonl()
+            for data, _ in self._iter_jsonl():
+                yield RunResult.from_dict(data)
         else:
             yield from self._iter_csv()
 
-    def _iter_jsonl(self) -> Iterator[RunResult]:
+    def _iter_jsonl(self) -> Iterator[Tuple[Dict[str, Any], str]]:
+        """Every record as ``(fields, line)``: the decoded, version-checked
+        fields (``format_version`` removed) and the JSON text they came
+        from, which the query engine stores verbatim as the row payload."""
         with self.path.open() as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
@@ -222,7 +226,7 @@ class ResultStore:
                 check_format_version(
                     data.pop("format_version", None), self.path
                 )
-                yield RunResult.from_dict(data)
+                yield data, stripped
 
     def _iter_csv(self) -> Iterator[RunResult]:
         with self.path.open(newline="") as fh:

@@ -60,6 +60,12 @@ def _known_names() -> List[str]:
     return [spec.name for spec in list_experiments()]
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -291,7 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FIELD",
         help="RunResult fields to print (default: a summary set)",
     )
-    query_p.add_argument("--limit", type=int, default=None)
+    query_p.add_argument(
+        "--limit",
+        type=_non_negative_int,
+        default=None,
+        help="print at most this many rows (with --agg: groups)",
+    )
     query_p.add_argument(
         "--format",
         dest="out_format",
@@ -303,9 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--agg",
         default=None,
         choices=("mean", "min", "max", "sum"),
-        help="reduce the matching rows instead of listing them; computed "
-        "in SQL for a .sqlite store (JSON payloads never decoded), in "
-        "Python for flat files",
+        help="reduce the matching rows instead of listing them, in one SQL "
+        "statement (a .jsonl/.csv store is loaded into in-memory SQLite)",
     )
     query_p.add_argument(
         "--group-by",
@@ -606,9 +616,8 @@ def _query_aggregate(args: argparse.Namespace, store) -> int:
         seed=args.seed,
         protocol=args.protocol,
         where=[parse_predicate(text) for text in args.where],
+        limit=args.limit,
     )
-    if args.limit is not None:
-        groups = groups[:args.limit]
     if args.out_format == "jsonl":
         for record in groups:
             sys.stdout.write(json_mod.dumps(record) + "\n")

@@ -7,7 +7,10 @@ works against a database unchanged — plus what a real database adds:
 
 * **indexed reads** — rows keyed by ``(experiment, config_digest, seed)``
   so the campaign server and the run cache read exactly the rows they
-  need instead of scanning a file;
+  need instead of scanning a file; filtered reads and grouped reductions
+  (:meth:`DbResultStore.query`, ``repro-caem query``) are compiled to SQL
+  by the one query engine, :mod:`repro.service.query`, and run on this
+  file's connection;
 * **WAL mode** — concurrent readers see a consistent snapshot while a
   campaign is appending (the server's query endpoints run during jobs);
 * **schema migrations** — the file records its schema version and older
@@ -38,9 +41,10 @@ from typing import (
 )
 
 from ..api.result import RunResult
-from ..api.store import STORE_FORMAT_VERSION, ResultStore, check_format_version
+from ..api.store import STORE_FORMAT_VERSION, ResultStore
 from ..errors import ExperimentError
 from .migrations import ensure_schema
+from .query import aggregate_runs, decode_row, query_runs
 
 __all__ = ["DbResultStore", "open_store", "DB_SUFFIXES"]
 
@@ -208,10 +212,6 @@ class DbResultStore:
 
     # -- reading ---------------------------------------------------------------
 
-    def _decode(self, format_version, payload: str) -> RunResult:
-        check_format_version(format_version, self.path)
-        return RunResult.from_dict(json.loads(payload))
-
     def load(self) -> List[RunResult]:
         """Read every stored run back, in insertion order."""
         return list(self)
@@ -222,7 +222,7 @@ class DbResultStore:
                 "SELECT format_version, payload FROM runs ORDER BY id"
             )
             for format_version, payload in cursor:
-                yield self._decode(format_version, payload)
+                yield decode_row(format_version, payload, self.path)
 
     def __len__(self) -> int:
         with self._connect() as conn:
@@ -237,108 +237,22 @@ class DbResultStore:
         limit: Optional[int] = None,
     ) -> List[RunResult]:
         """Indexed read: rows matching every given key, in insertion order."""
-        clauses, params = [], []
-        for column, value in (
-            ("experiment", experiment),
-            ("config_digest", config_digest),
-            ("seed", seed),
-            ("protocol", protocol),
-        ):
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                params.append(value)
-        sql = "SELECT format_version, payload FROM runs"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY id"
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(int(limit))
-        with self._connect() as conn:
-            return [
-                self._decode(fv, payload)
-                for fv, payload in conn.execute(sql, params)
-            ]
-
-    #: Scalar key columns that aggregation can GROUP BY / filter without
-    #: touching the JSON payload.
-    KEY_COLUMNS = (
-        "experiment",
-        "protocol",
-        "load_pps",
-        "seed",
-        "horizon_s",
-        "n_nodes",
-        "config_digest",
-    )
+        return query_runs(
+            self,
+            experiment=experiment,
+            config_digest=config_digest,
+            seed=seed,
+            protocol=protocol,
+            limit=limit,
+        )
 
     def aggregate(
-        self,
-        group_by: Sequence[str],
-        metrics: Sequence[str],
-        agg: str = "mean",
-        experiment: Optional[str] = None,
-        config_digest: Optional[str] = None,
-        seed: Optional[int] = None,
-        protocol: Optional[str] = None,
+        self, group_by: Sequence[str], metrics: Sequence[str], agg: str = "mean", **keys
     ) -> List[dict]:
-        """Aggregation pushdown: group + reduce inside SQLite.
-
-        Group keys must be scalar key columns (:data:`KEY_COLUMNS`);
-        metric fields are pulled out of the JSON payload with
-        ``json_extract``, so only the reduced rows — not the full
-        payloads — ever leave the database.  ``agg`` is one of
-        ``mean`` / ``min`` / ``max`` / ``sum``; SQL aggregates skip
-        NULL (missing/None metrics), matching the Python fallback in
-        :func:`repro.service.query.aggregate_runs`.
-
-        Raises :class:`sqlite3.OperationalError` when the linked SQLite
-        lacks the JSON1 functions — callers fall back to Python then.
-        """
-        sql_fn = {"mean": "AVG", "min": "MIN", "max": "MAX", "sum": "SUM"}
-        if agg not in sql_fn:
-            raise ExperimentError(
-                f"unknown aggregate {agg!r} (know {', '.join(sql_fn)})"
-            )
-        for key in group_by:
-            if key not in self.KEY_COLUMNS:
-                raise ExperimentError(
-                    f"cannot group by {key!r}: pushdown group keys are "
-                    f"{', '.join(self.KEY_COLUMNS)}"
-                )
-        selects = list(group_by) + ["COUNT(*)"]
-        for field in metrics:
-            if not field.isidentifier():
-                raise ExperimentError(f"bad metric field name {field!r}")
-            selects.append(
-                f"{sql_fn[agg]}(CAST(json_extract(payload, "
-                f"'$.{field}') AS REAL))"
-            )
-        clauses, params = [], []
-        for column, value in (
-            ("experiment", experiment),
-            ("config_digest", config_digest),
-            ("seed", seed),
-            ("protocol", protocol),
-        ):
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                params.append(value)
-        sql = f"SELECT {', '.join(selects)} FROM runs"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        if group_by:
-            sql += f" GROUP BY {', '.join(group_by)}"
-            sql += f" ORDER BY {', '.join(group_by)}"
-        out: List[dict] = []
-        with self._connect() as conn:
-            for row in conn.execute(sql, params):
-                record = dict(zip(group_by, row))
-                record["n"] = int(row[len(group_by)])
-                for j, field in enumerate(metrics):
-                    record[field] = row[len(group_by) + 1 + j]
-                out.append(record)
-        return out
+        """Grouped reduction: :func:`~repro.service.query.aggregate_runs`
+        with the same key filters.  Kept by name for the benchmark's
+        traced run, which wraps it."""
+        return aggregate_runs(self, group_by, agg=agg, metrics=metrics, **keys)
 
     def rows_for_digests(
         self, digests: Iterable[str]
@@ -364,7 +278,8 @@ class DbResultStore:
                     chunk,
                 )
                 for fv, payload in cursor:
-                    out.append((self._decode(fv, payload), len(payload.encode())))
+                    run = decode_row(fv, payload, self.path)
+                    out.append((run, len(payload.encode())))
         return out
 
     # -- import / export -------------------------------------------------------

@@ -158,16 +158,6 @@ def build_server(
     return CampaignServer((host, port), db, manager, quiet=quiet, board=board)
 
 
-class _MemoryRows:
-    """An in-memory row list behind the plain-store aggregate interface."""
-
-    def __init__(self, rows):
-        self._rows = list(rows)
-
-    def load(self):
-        return list(self._rows)
-
-
 class _Handler(BaseHTTPRequestHandler):
     server: WorkServer
 
@@ -395,11 +385,11 @@ class _Handler(BaseHTTPRequestHandler):
         """Grouped reduction over the rows this job put in the database.
 
         ``GET /campaigns/<id>/agg?agg=mean&group_by=protocol,load`` —
-        the server-side equivalent of ``repro-caem query --agg``,
-        reusing :func:`~repro.service.query.aggregate_runs`: experiment
-        jobs push the whole reduction into SQL via the store's
-        ``aggregate``; grid jobs scope the database to the job's own
-        config digests first (recorded at submit time), then reduce.
+        the server-side equivalent of ``repro-caem query --agg``, run by
+        :func:`~repro.service.query.aggregate_runs` as one SQL statement:
+        experiment jobs reduce on the database itself; grid jobs read the
+        rows of the job's own config digests (recorded at submit time)
+        and reduce them in an in-memory SQLite database.
         """
         def one(name: str, default: Optional[str] = None) -> Optional[str]:
             values = params.get(name)
@@ -427,13 +417,8 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ExperimentError(
                     "this job has no recorded grid cells to aggregate"
                 )
-            rows = [
-                run for run, _ in
-                self.server.db.rows_for_digests(job._digests)
-            ]
-            groups = aggregate_runs(
-                _MemoryRows(rows), group_by, agg=agg, metrics=metrics,
-            )
+            rows = [run for run, _ in self.server.db.rows_for_digests(job._digests)]
+            groups = aggregate_runs(rows, group_by, agg=agg, metrics=metrics)
         self._send_json(
             {
                 "job_id": job.job_id,

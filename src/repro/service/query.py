@@ -1,20 +1,36 @@
-"""Ad-hoc filtered reads over a result store: ``repro-caem query``.
+"""The one query engine: ``repro-caem query``, ``--agg`` and ``/runs``.
 
-Key filters (experiment / digest / seed / protocol) push down into the
-database indexes when the store is a :class:`~repro.service.DbResultStore`;
-metric predicates (``--where delivery_rate>0.9``) evaluate in Python on
-the decoded rows, so they work identically against JSONL/CSV stores and
-need no SQLite JSON extension.
+Every read compiles to one SQL statement over the ``runs`` table: key
+filters (experiment / digest / seed / protocol) on the indexed columns,
+metric predicates (``--where delivery_rate>0.9``) as
+``json_extract(payload, '$.field') OP ?``, and for ``--agg`` the
+reduction with its ``GROUP BY``, ``ORDER BY`` and ``LIMIT``.  The
+statement runs on a :class:`~repro.service.DbResultStore`'s own
+connection, or on an in-memory SQLite database with the same schema,
+loaded from a JSONL/CSV store or a plain list of :class:`RunResult`.  So
+every backend answers with the same rows and the same values.
+
+Needs SQLite with the JSON1 functions (built in since SQLite 3.38).
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, fields as dc_fields
-from typing import Any, Callable, Dict, List, Optional, Sequence
+import json
+import sqlite3
+from contextlib import contextmanager
+from dataclasses import dataclass
+from dataclasses import fields as dc_fields
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from ..api.result import RunResult
+from ..api.result import SERIES_FIELDS, RunResult
+from ..api.store import (
+    _STRING_FIELDS,
+    STORE_FORMAT_VERSION,
+    ResultStore,
+    check_format_version,
+)
 from ..errors import ExperimentError
+from .migrations import ensure_schema
 
 __all__ = [
     "Predicate",
@@ -52,9 +68,7 @@ DEFAULT_AGG_METRICS = (
 #: CLI shorthand for group keys: ``--group-by protocol,load``.
 GROUP_ALIASES = {"load": "load_pps", "nodes": "n_nodes"}
 
-#: Group keys the SQL pushdown supports (scalar key columns of the runs
-#: table); the Python fallback accepts the same set so JSONL/CSV stores
-#: and databases answer identically.
+#: Group keys: the scalar key columns of the ``runs`` table.
 _GROUP_COLUMNS = (
     "experiment",
     "protocol",
@@ -65,25 +79,44 @@ _GROUP_COLUMNS = (
     "config_digest",
 )
 
-_AGG_FUNCS: Dict[str, Callable[[List[float]], float]] = {
-    "mean": lambda vs: sum(vs) / len(vs),
-    "min": min,
-    "max": max,
-    "sum": sum,
-}
+#: Key filters of :func:`query_runs`/:func:`aggregate_runs`: indexed
+#: columns compared for equality.
+_KEY_FILTERS = ("experiment", "config_digest", "seed", "protocol")
+
+#: ``--agg`` name -> SQL aggregate.  All of them skip NULL (None) values.
+_AGG_SQL = {"mean": "AVG", "min": "MIN", "max": "MAX", "sum": "SUM"}
 
 #: Two-char operators first so ``>=`` never parses as ``>`` + ``=0.9``.
-_OPS: Sequence = (
-    ("<=", operator.le),
-    (">=", operator.ge),
-    ("==", operator.eq),
-    ("!=", operator.ne),
-    ("<", operator.lt),
-    (">", operator.gt),
-    ("=", operator.eq),
-)
+_OPS = ("<=", ">=", "==", "!=", "<", ">", "=")
+_ORDERING_OPS = ("<=", ">=", "<", ">")
 
 _RESULT_FIELDS = {f.name for f in dc_fields(RunResult)}
+#: Fields that hold one number per run: what predicates order and
+#: aggregates reduce.
+_NUMERIC_FIELDS = _RESULT_FIELDS - set(SERIES_FIELDS) - _STRING_FIELDS
+
+_INSERT = (
+    "INSERT INTO runs (experiment, config_digest, seed, protocol, load_pps, "
+    "horizon_s, n_nodes, format_version, payload) VALUES (:experiment, "
+    ":config_digest, :seed, :protocol, :load_pps, :horizon_s, :n_nodes, "
+    f"{STORE_FORMAT_VERSION}, :payload)"
+)
+#: Key columns an old row may lack, at their :class:`RunResult` defaults.
+_KEY_DEFAULTS = {"experiment": None, "config_digest": "", "n_nodes": 0}
+
+
+def _check_field(field: str, context: str) -> None:
+    """Refuse unknown and series fields: queries compare one value per run."""
+    if field not in _RESULT_FIELDS:
+        raise ExperimentError(
+            f"unknown RunResult field {field!r}{context}; known fields: "
+            f"{', '.join(sorted(_RESULT_FIELDS))}"
+        )
+    if field in SERIES_FIELDS:
+        raise ExperimentError(
+            f"{field!r} is a series field{context}; queries take scalar "
+            f"fields (series: {', '.join(SERIES_FIELDS)})"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,59 +125,127 @@ class Predicate:
 
     field: str
     op_text: str
-    op: Callable[[Any, Any], bool]
     value: Any
 
-    def matches(self, run: RunResult) -> bool:
-        actual = getattr(run, self.field)
-        if actual is None:
-            # None metrics (e.g. lifetime on a fixed-window run) match
-            # nothing except an explicit equality test against None.
-            return self.op is operator.eq and self.value is None
-        try:
-            return bool(self.op(actual, self.value))
-        except TypeError:
-            raise ExperimentError(
-                f"predicate {self} cannot compare the stored "
-                f"{type(actual).__name__} value {actual!r}"
-            ) from None
+    def sql(self) -> Tuple[str, List[Any]]:
+        """This predicate as a WHERE term over the row's JSON payload.
 
-    def __str__(self) -> str:
-        return f"{self.field}{self.op_text}{self.value!r}"
+        A None metric (e.g. lifetime on a fixed-window run) matches
+        nothing except ``=None``; ``!=None`` keeps the rows that have one.
+        """
+        column = f"json_extract(payload, '$.{self.field}')"
+        if self.value is None:
+            negate = "NOT " if self.op_text == "!=" else ""
+            return f"{column} IS {negate}NULL", []
+        return f"{column} {self.op_text} ?", [self.value]
 
 
 def parse_predicate(text: str) -> Predicate:
     """Parse ``"delivery_rate>0.9"`` / ``"protocol=scheme1"`` forms."""
-    for op_text, op in _OPS:
+    for op_text in _OPS:
         if op_text in text:
             field, _, raw = text.partition(op_text)
             field = field.strip()
             raw = raw.strip()
             if not field or not raw:
                 break
-            if field not in _RESULT_FIELDS:
-                raise ExperimentError(
-                    f"unknown RunResult field {field!r} in predicate "
-                    f"{text!r}; known fields: "
-                    f"{', '.join(sorted(_RESULT_FIELDS))}"
-                )
+            _check_field(field, f" in predicate {text!r}")
             value: Any
             if raw == "None":
                 value = None
+            elif field in _STRING_FIELDS:
+                value = raw
             else:
                 try:
                     value = int(raw)
+                    if abs(value) >= 1 << 63:  # past SQLite's INTEGER range
+                        value = float(value)
                 except ValueError:
                     try:
                         value = float(raw)
                     except ValueError:
                         value = raw
-            return Predicate(field=field, op_text=op_text, op=op, value=value)
+            if op_text in _ORDERING_OPS and (
+                field not in _NUMERIC_FIELDS or not isinstance(value, (int, float))
+            ):
+                raise ExperimentError(
+                    f"predicate {text!r} orders with {op_text!r}: that needs "
+                    f"a numeric field and a number (use = or != for "
+                    f"strings and None)"
+                )
+            return Predicate(field=field, op_text=op_text, value=value)
     raise ExperimentError(
         f"malformed predicate {text!r}: expected FIELD OP VALUE with OP "
-        f"one of {', '.join(op for op, _ in _OPS)} "
-        f"(e.g. delivery_rate>0.9)"
+        f"one of {', '.join(_OPS)} (e.g. delivery_rate>0.9)"
     )
+
+
+def _compile(
+    columns: str, tail: str, keys: tuple, where: Sequence, limit: Optional[int]
+) -> Tuple[str, List[Any]]:
+    """One statement over ``runs``: SELECT ``columns``, WHERE, ``tail``, LIMIT.
+
+    Builds every filtered read's WHERE clause: the ``keys`` values (in
+    :data:`_KEY_FILTERS` order; None skips) compare the indexed columns,
+    the :class:`Predicate` list ``where`` the JSON payload.
+    """
+    terms: List[str] = []
+    params: List[Any] = []
+    for column, value in zip(_KEY_FILTERS, keys):
+        if value is not None:
+            terms.append(f"{column} = ?")
+            params.append(value)
+    for predicate in where:
+        term, args = predicate.sql()
+        terms.append(term)
+        params += args
+    sql = f"SELECT {columns} FROM runs"
+    if terms:
+        sql += " WHERE " + " AND ".join(terms)
+    sql += tail
+    if limit is not None:
+        if limit < 0:
+            raise ExperimentError(f"limit must be >= 0 (got {limit})")
+        sql += " LIMIT ?"
+        params.append(int(limit))
+    return sql, params
+
+
+def _rows(store) -> Iterator[dict]:
+    """Insert parameters for every row of a flat-file store or row list.
+    A JSONL row's payload is the line it was read from, not re-encoded."""
+    if isinstance(store, ResultStore) and store.format == "jsonl":
+        records = store._iter_jsonl() if store.path.exists() else iter(())
+    else:
+        records = ((run.to_dict(), None) for run in store)
+    for data, line in records:
+        yield {**_KEY_DEFAULTS, **data, "payload": line or json.dumps(data)}
+
+
+@contextmanager
+def _connect(store) -> Iterator[sqlite3.Connection]:
+    """A connection whose ``runs`` table holds ``store``'s rows."""
+    from .db import DbResultStore
+
+    if isinstance(store, DbResultStore):
+        with store._connect() as conn:
+            yield conn
+        return
+    conn = sqlite3.connect(":memory:", isolation_level=None)
+    try:
+        ensure_schema(conn, source=":memory:")
+        conn.execute("BEGIN")
+        conn.executemany(_INSERT, _rows(store))
+        conn.execute("COMMIT")
+        yield conn
+    finally:
+        conn.close()
+
+
+def decode_row(format_version: Any, payload: str, source: Any) -> RunResult:
+    """One stored row back as a :class:`RunResult` (version-checked)."""
+    check_format_version(format_version, source)
+    return RunResult.from_dict(json.loads(payload))
 
 
 def query_runs(
@@ -158,32 +259,18 @@ def query_runs(
 ) -> List[RunResult]:
     """Filtered rows from any store backend, in insertion order.
 
-    The key filters use the database indexes when available; ``where``
-    predicates and ``limit`` always apply post-decode so the row set is
-    identical across backends.
+    ``store`` is a :class:`~repro.service.DbResultStore`, a JSONL/CSV
+    :class:`~repro.api.ResultStore` or a list of :class:`RunResult`;
+    ``limit`` caps the rows that pass every filter.
     """
-    if hasattr(store, "query"):
-        rows = store.query(
-            experiment=experiment,
-            config_digest=config_digest,
-            seed=seed,
-            protocol=protocol,
-        )
-    else:
-        rows = [
-            run for run in store.load()
-            if (experiment is None or run.experiment == experiment)
-            and (config_digest is None or run.config_digest == config_digest)
-            and (seed is None or run.seed == seed)
-            and (protocol is None or run.protocol == protocol)
-        ]
-    out: List[RunResult] = []
-    for run in rows:
-        if all(p.matches(run) for p in where):
-            out.append(run)
-            if limit is not None and len(out) >= limit:
-                break
-    return out
+    keys = (experiment, config_digest, seed, protocol)
+    sql, params = _compile(
+        "format_version, payload", " ORDER BY id", keys, where, limit
+    )
+    source = getattr(store, "path", "<rows>")
+    with _connect(store) as conn:
+        rows = conn.execute(sql, params).fetchall()
+    return [decode_row(fv, payload, source) for fv, payload in rows]
 
 
 def resolve_group_key(key: str) -> str:
@@ -208,70 +295,47 @@ def aggregate_runs(
     seed: Optional[int] = None,
     protocol: Optional[str] = None,
     where: Sequence[Predicate] = (),
+    limit: Optional[int] = None,
 ) -> List[dict]:
     """Grouped reduction over a result store: ``query --agg``.
 
-    Returns one dict per group, ordered by group key: the group-key
-    values, ``n`` (rows in the group), and one reduced value per metric
-    (``None`` when every row's metric is None — e.g. lifetime on runs
-    nothing died in; None metrics are skipped, not zero-filled).
-
-    Against a :class:`~repro.service.DbResultStore` the whole reduction
-    pushes down into SQL (``json_extract`` + ``GROUP BY``) so only the
-    reduced rows leave the database; JSONL/CSV stores — and any query
-    with Python-side ``where`` predicates — reduce over decoded rows
-    with identical semantics.
+    Returns one dict per group, ordered by group key (None first): the
+    group-key values, ``n`` (rows in the group), and one reduced value
+    per metric (``None`` when every row's metric is None — e.g. lifetime
+    on runs nothing died in; None metrics are skipped, not zero-filled).
+    ``sum``/``min``/``max`` of an integer field are integers; ``mean``
+    is always a float.  ``limit`` caps the number of groups.  Only the
+    reduced rows leave SQLite.
     """
-    if agg not in _AGG_FUNCS:
+    if agg not in _AGG_SQL:
         raise ExperimentError(
-            f"unknown aggregate {agg!r} (know {', '.join(_AGG_FUNCS)})"
+            f"unknown aggregate {agg!r} (know {', '.join(_AGG_SQL)})"
         )
     group_by = [resolve_group_key(k) for k in group_by]
     if metrics is None:
         metrics = DEFAULT_AGG_METRICS
     for field in metrics:
-        if field not in _RESULT_FIELDS:
+        _check_field(field, "")
+        if field not in _NUMERIC_FIELDS:
             raise ExperimentError(
-                f"unknown RunResult field {field!r}; known fields: "
-                f"{', '.join(sorted(_RESULT_FIELDS))}"
+                f"cannot aggregate {field!r}: it is not numeric (group by "
+                f"it instead, or pick a numeric field)"
             )
-    if not where and hasattr(store, "aggregate"):
-        import sqlite3
-
-        try:
-            return store.aggregate(
-                group_by,
-                metrics,
-                agg=agg,
-                experiment=experiment,
-                config_digest=config_digest,
-                seed=seed,
-                protocol=protocol,
-            )
-        except sqlite3.OperationalError:
-            # SQLite built without JSON1 — reduce in Python instead.
-            pass
-    runs = query_runs(
-        store,
-        experiment=experiment,
-        config_digest=config_digest,
-        seed=seed,
-        protocol=protocol,
-        where=where,
-    )
-    groups: Dict[tuple, List[RunResult]] = {}
-    for run in runs:
-        key = tuple(getattr(run, k) for k in group_by)
-        groups.setdefault(key, []).append(run)
-    reduce = _AGG_FUNCS[agg]
+    reduce = _AGG_SQL[agg]
+    reductions = [f"{reduce}(json_extract(payload, '$.{f}'))" for f in metrics]
+    select = ", ".join([*group_by, "COUNT(*)", *reductions])
+    keys = ", ".join(group_by)
+    # GROUP BY NULL: one group over all rows, and none over no rows.
+    tail = f" GROUP BY {keys} ORDER BY {keys}" if group_by else " GROUP BY NULL"
+    keys = (experiment, config_digest, seed, protocol)
+    sql, params = _compile(select, tail, keys, where, limit)
+    with _connect(store) as conn:
+        rows = conn.execute(sql, params).fetchall()
+    width = len(group_by)
     out: List[dict] = []
-    # NULL-first ordering, matching SQLite's ORDER BY.
-    for key in sorted(groups, key=lambda k: tuple((v is not None, v) for v in k)):
-        rows = groups[key]
-        record = dict(zip(group_by, key))
-        record["n"] = len(rows)
-        for field in metrics:
-            values = [getattr(r, field) for r in rows if getattr(r, field) is not None]
-            record[field] = reduce(values) if values else None
+    for row in rows:
+        record = dict(zip(group_by, row))
+        record["n"] = row[width]
+        record.update(zip(metrics, row[width + 1 :]))
         out.append(record)
     return out

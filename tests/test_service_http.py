@@ -152,6 +152,27 @@ class TestEndpoints:
             _get_json(server, "/runs?where=nonsense")
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("query", [
+        "limit=-1",
+        "where=protocol%3Escheme1",
+        "where=sample_times_s%3E1",
+    ])
+    def test_unsupported_runs_queries_are_400(self, server, query):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get_json(server, f"/runs?{query}")
+        assert excinfo.value.code == 400
+
+    def test_runs_limit_is_exact(self, server):
+        from repro.api import RunResult
+
+        server.db.extend([
+            RunResult(protocol="scheme1", seed=s, load_pps=5.0, horizon_s=5.0,
+                      config_digest=f"{s:064x}")
+            for s in (1, 2, 3)
+        ])
+        assert _get_json(server, "/runs?limit=0") == {"count": 0, "rows": []}
+        assert _get_json(server, "/runs?limit=2")["count"] == 2
+
     @pytest.mark.parametrize("executor, field", [
         ({"kind": "pool", "jobs": "4"}, "jobs"),
         ({"kind": "pool", "jobs": 2.5}, "jobs"),
